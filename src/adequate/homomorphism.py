@@ -5,15 +5,21 @@ tree keeps a set of candidate images in the target, the sets are filtered
 once along each source edge in reverse depth-first order, and a morphism
 exists exactly when the start vertex keeps a candidate.  Candidate sets are
 bitmasks, giving O(nm) time overall for trees on n and m vertices.
+
+The image of a child's candidate set along a signed label depends only on
+that label and that set.  Random trees have few distinct fringe subtrees, so
+the same pair recurs often; for targets of more than 64 vertices each image
+is computed once per call and then looked up.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import AlphabetMismatch
-from .tree import SigmaTree
+from .tree import SignedLabel, SigmaTree
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,14 @@ def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
 
 
 def _propagate(t1: SigmaTree, t2: SigmaTree) -> list[int]:
-    """Run the filtering pass; returns final masks by traversal position."""
+    """Run the filtering pass; returns final masks by traversal position.
+
+    Targets of at most 64 vertices test bits on machine-size ints directly:
+    there an image costs less to recompute than to look up, so this branch
+    keeps no memo.  Wider targets read each child mask through a byte view
+    and keep one memo per signed label, keyed by the child mask, so each
+    distinct image is computed once.
+    """
     tr = t1._traversal
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
     masks[0] &= 1 << t2.start
@@ -77,16 +90,22 @@ def _propagate(t1: SigmaTree, t2: SigmaTree) -> list[int]:
             masks[p] = bp
         return masks
     nbytes = (t2.vertex_count + 7) // 8
+    memos: defaultdict[SignedLabel, dict[int, int]] = defaultdict(dict)
     for p in range(t1.vertex_count - 1, -1, -1):
         bp = masks[p]
         for cp, slab in children[p]:
-            # Wide masks: byte views keep each bit test O(1).
-            member = masks[cp].to_bytes(nbytes, "little")
-            buf = bytearray(nbytes)
-            for x, y in groups.get(slab, ()):
-                if (member[y >> 3] >> (y & 7)) & 1:
-                    buf[x >> 3] |= 1 << (x & 7)
-            bp &= int.from_bytes(buf, "little")
+            bc = masks[cp]
+            memo = memos[slab]
+            image = memo.get(bc)
+            if image is None:
+                # Byte views keep each bit test O(1).
+                member = bc.to_bytes(nbytes, "little")
+                buf = bytearray(nbytes)
+                for x, y in groups.get(slab, ()):
+                    if (member[y >> 3] >> (y & 7)) & 1:
+                        buf[x >> 3] |= 1 << (x & 7)
+                image = memo[bc] = int.from_bytes(buf, "little")
+            bp &= image
         masks[p] = bp
     return masks
 
@@ -132,7 +151,8 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
             if x == src and (mask >> y) & 1 and (best < 0 or y < best):
                 best = y
         # The propagation pass guarantees a supported candidate here.
-        assert best >= 0
+        if best < 0:
+            raise RuntimeError(f"no supported candidate at traversal position {p}")
         mapping[v] = best
     return VertexMorphism(tuple(mapping))
 

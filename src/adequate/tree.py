@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
 from .formula import Alphabet, Formula, Letter, UnaryOp
@@ -190,34 +190,63 @@ def unpruned_star(x: SigmaTree) -> SigmaTree:
 def evaluate(formula: Formula) -> SigmaTree:
     """Evaluate a formula to its unpruned tree.
 
-    Depth-first over the syntax tree, combining base and trivial trees with
-    the unpruned operations; the result has exactly one edge per generator
-    occurrence.  Runs in quadratic time in the formula length.
+    One depth-first pass over the syntax tree with a vertex cursor: a letter
+    adds an edge from the cursor to a new vertex, which becomes the cursor.
+    A ``+`` group starts at the outer cursor; a ``*`` group starts at a new
+    vertex, and on closing its end is glued onto the outer cursor.  Either
+    way the outer cursor is unchanged afterwards.  Vertex ids are the
+    creation ranks of the vertices that were not glued, which is the
+    numbering that folding :func:`unpruned_product`, :func:`unpruned_plus`
+    and :func:`unpruned_star` over the syntax tree gives.  The result has
+    exactly one edge per generator occurrence; runs in linear time in the
+    formula length.
     """
     alphabet = formula.alphabet
-    acc: list[SigmaTree] = [trivial_tree(alphabet)]
-    ops: list[UnaryOp | None] = [None]
-    streams = [iter(formula.factors)]
+    index = alphabet.index
+    edges: list[tuple[str, int, int]] = []
+    # glue[v] is the earlier vertex that v was glued onto, or -1.
+    glue = [-1]
+    cursor = 0
+    groups: list[tuple[int, UnaryOp, Iterator]] = []
+    items: Iterator = iter(formula.factors)
     while True:
-        descended = False
-        for item in streams[-1]:
+        for item in items:
             if type(item) is Letter:
-                acc[-1] = unpruned_product(acc[-1], base_tree(item.letter, alphabet))
+                index(item.letter)
+                edges.append((item.letter, cursor, len(glue)))
+                cursor = len(glue)
+                glue.append(-1)
             else:
-                acc.append(trivial_tree(alphabet))
-                ops.append(item.op)
-                streams.append(iter(item.body.factors))
-                descended = True
+                groups.append((cursor, item.op, items))
+                if item.op is UnaryOp.STAR:
+                    cursor = len(glue)
+                    glue.append(-1)
+                items = iter(item.body.factors)
                 break
-        if descended:
-            continue
-        streams.pop()
-        tree = acc.pop()
-        op = ops.pop()
-        if op is None:
-            return tree
-        tree = unpruned_plus(tree) if op is UnaryOp.PLUS else unpruned_star(tree)
-        acc[-1] = unpruned_product(acc[-1], tree)
+        else:
+            if not groups:
+                break
+            outer, op, items = groups.pop()
+            if op is UnaryOp.STAR:
+                glue[cursor] = outer
+            cursor = outer
+    # A glue target is always created before the vertex glued onto it, so
+    # one forward pass settles chains of glues.
+    ids = [0] * len(glue)
+    count = 0
+    for v, target in enumerate(glue):
+        if target < 0:
+            ids[v] = count
+            count += 1
+        else:
+            ids[v] = ids[target]
+    return SigmaTree(
+        alphabet,
+        count,
+        0,
+        ids[cursor],
+        tuple((label, ids[s], ids[t]) for label, s, t in edges),
+    )
 
 
 def _compute_traversal(tree: SigmaTree) -> TraversalOrder:

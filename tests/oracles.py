@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
-descendant sets come from explicit path enumeration.
+descendant sets come from explicit path enumeration.  The evaluator and the
+propagation pass that the library replaced with faster code are kept here as
+differential references; the faster code must give identical results.
 """
 
 from __future__ import annotations
@@ -11,11 +13,19 @@ from collections import defaultdict
 
 from adequate import (
     Alphabet,
+    Formula,
+    Letter,
     SigmaTree,
+    UnaryOp,
+    base_tree,
     evaluate,
     exists_morphism_bruteforce,
     parse,
+    trivial_tree,
     trunk,
+    unpruned_plus,
+    unpruned_product,
+    unpruned_star,
 )
 from adequate.formula import RESERVED
 
@@ -101,3 +111,66 @@ def oracle_equal_texts(lhs: str, rhs: str) -> bool:
     x = evaluate(parse(lhs, alphabet))
     y = evaluate(parse(rhs, alphabet))
     return exists_morphism_bruteforce(x, y) and exists_morphism_bruteforce(y, x)
+
+
+def evaluate_by_products(formula: Formula) -> SigmaTree:
+    """Reference evaluator: folds the unpruned operations over the syntax
+    tree, copying the edges so far at every letter (quadratic time)."""
+    alphabet = formula.alphabet
+    acc: list[SigmaTree] = [trivial_tree(alphabet)]
+    ops: list = [None]
+    streams = [iter(formula.factors)]
+    while True:
+        descended = False
+        for item in streams[-1]:
+            if type(item) is Letter:
+                acc[-1] = unpruned_product(acc[-1], base_tree(item.letter, alphabet))
+            else:
+                acc.append(trivial_tree(alphabet))
+                ops.append(item.op)
+                streams.append(iter(item.body.factors))
+                descended = True
+                break
+        if descended:
+            continue
+        streams.pop()
+        tree = acc.pop()
+        op = ops.pop()
+        if op is None:
+            return tree
+        tree = unpruned_plus(tree) if op is UnaryOp.PLUS else unpruned_star(tree)
+        acc[-1] = unpruned_product(acc[-1], tree)
+
+
+def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
+    """Reference candidate-set pass that recomputes every image."""
+    tr = t1._traversal
+    masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
+    masks[0] &= 1 << t2.start
+    masks[tr.position[t1.end]] &= 1 << t2.end
+    children = tr.children
+    groups = t2._edge_groups
+    if t2.vertex_count <= 64:
+        for p in range(t1.vertex_count - 1, -1, -1):
+            bp = masks[p]
+            for cp, slab in children[p]:
+                bc = masks[cp]
+                bstar = 0
+                for x, y in groups.get(slab, ()):
+                    if (bc >> y) & 1:
+                        bstar |= 1 << x
+                bp &= bstar
+            masks[p] = bp
+        return masks
+    nbytes = (t2.vertex_count + 7) // 8
+    for p in range(t1.vertex_count - 1, -1, -1):
+        bp = masks[p]
+        for cp, slab in children[p]:
+            member = masks[cp].to_bytes(nbytes, "little")
+            buf = bytearray(nbytes)
+            for x, y in groups.get(slab, ()):
+                if (member[y >> 3] >> (y & 7)) & 1:
+                    buf[x >> 3] |= 1 << (x & 7)
+            bp &= int.from_bytes(buf, "little")
+        masks[p] = bp
+    return masks

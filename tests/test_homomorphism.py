@@ -17,9 +17,15 @@ from adequate import (
     is_morphism,
     parse,
     traversal,
+    prune,
     trivial_tree,
+    unpruned_plus,
+    unpruned_product,
 )
-from adequate.generate import random_tree
+from adequate import homomorphism
+from adequate.generate import random_relabelling, random_tree
+from adequate.homomorphism import _propagate
+from oracles import propagate_unmemoised
 from strategies import trees
 
 
@@ -121,3 +127,58 @@ def test_candidate_sets_api(ab):
     sets = candidate_sets(evaluate(parse("(a)+a", ab)), base_tree("a", ab))
     assert sets.contains(0, 0)
     assert sets.members(0) == [0]
+
+
+def test_propagate_matches_unmemoised_on_wide_targets(ab):
+    rng = Random(20241)
+    outcomes = set()
+    for _ in range(12):
+        x = random_tree(rng, rng.randrange(64, 800), ab)
+        pairs = [
+            (x, x),  # as pruning uses it
+            (random_relabelling(rng, x), x),
+            (x, random_relabelling(rng, x)),
+            (prune(x).tree, x),
+            (x, random_tree(rng, rng.randrange(64, 800), ab)),
+        ]
+        for t1, t2 in pairs:
+            if t2.vertex_count <= 64:
+                continue
+            masks = _propagate(t1, t2)
+            assert masks == propagate_unmemoised(t1, t2)
+            outcomes.add(masks[0] != 0)
+    big = random_tree(rng, 3199, ab)
+    assert big.vertex_count == 3200
+    assert _propagate(big, big) == propagate_unmemoised(big, big)
+    assert outcomes == {False, True}
+
+
+def test_wide_targets_match_bruteforce(ab):
+    # Targets of more than 64 vertices take the wide-mask branch.  Targets
+    # are a looped large tree followed by a short tail, and most sources a
+    # looped small tree followed by the same tail, so both answers occur.
+    rng = Random(20242)
+    outcomes = {False: 0, True: 0}
+    for _ in range(300):
+        tail = random_tree(rng, rng.randrange(3), ab)
+        t2 = unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(65, 201), ab)), tail)
+        if rng.random() < 0.7:
+            t1 = unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(6), ab)), tail)
+        else:
+            t1 = random_tree(rng, rng.randrange(8), ab)
+        answer = exists_morphism(t1, t2)
+        assert answer == exists_morphism_bruteforce(t1, t2)
+        witness = extract_morphism(t1, t2)
+        assert (witness is not None) == answer
+        if witness is not None:
+            assert is_morphism(t1, t2, witness.mapping)
+        outcomes[answer] += 1
+    assert min(outcomes.values()) >= 50
+
+
+def test_extract_raises_on_unsupported_candidate(ab, monkeypatch):
+    # Masks that no propagation pass yields: the start has an image, its
+    # child none.
+    monkeypatch.setattr(homomorphism, "_propagate", lambda t1, t2: [1, 0])
+    with pytest.raises(RuntimeError):
+        extract_morphism(base_tree("a", ab), base_tree("a", ab))

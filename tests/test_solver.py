@@ -22,7 +22,9 @@ from adequate import (
     normal_form,
     parse,
     render,
+    trivial_tree,
 )
+from adequate import solver
 from adequate.generate import random_formula
 from oracles import alphabet_of_texts, oracle_equal_texts
 from strategies import AB, formulas
@@ -170,3 +172,12 @@ def test_semigroup_mode_round_trip():
     semi = Mode(semigroup=True)
     f = parse("(x)+x", XY, semi)
     assert render(normal_form(f, semi)) == "x"
+
+
+def test_equal_raises_if_semigroup_formula_evaluates_to_identity(monkeypatch):
+    semigroup = Mode(semigroup=True)
+    f = parse("a", AB, semigroup)
+    assert equal(f, f, semigroup)
+    monkeypatch.setattr(solver, "evaluate", lambda formula: trivial_tree(formula.alphabet))
+    with pytest.raises(RuntimeError):
+        equal(f, f, semigroup)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -8,11 +9,18 @@ from hypothesis import given
 from adequate import (
     BadVertexId,
     Edge,
+    Formula,
+    Letter,
+    Mode,
     NoTrunk,
     NotATree,
+    Sidedness,
     SignedLabel,
+    Unary,
+    UnaryOp,
     UnknownSymbol,
     base_tree,
+    canonical_word,
     concat,
     descendants,
     evaluate,
@@ -29,7 +37,8 @@ from adequate import (
     unpruned_star,
     validate,
 )
-from oracles import descendants_by_paths
+from adequate.generate import enumerate_trees, random_formula, random_tree
+from oracles import descendants_by_paths, evaluate_by_products
 from strategies import formulas, trees
 
 
@@ -105,6 +114,38 @@ def test_evaluate_examples(ab):
         3, 0, 0, (Edge("a", 0, 1), Edge("b", 2, 1)),
     )
     assert shape(evaluate(parse("", ab))) == (1, 0, 0, ())
+
+
+def test_evaluate_matches_products_on_corpus_words(ab):
+    for t in enumerate_trees(4, ab):
+        f = parse(canonical_word(t), ab)
+        assert to_json(evaluate(f)) == to_json(evaluate_by_products(f))
+
+
+def test_evaluate_matches_products_on_random_formulas(ab):
+    rng = Random(4242)
+    for sidedness in Sidedness:
+        for semigroup in (False, True):
+            mode = Mode(sidedness, semigroup)
+            for _ in range(2000):
+                f = random_formula(rng, ab, max_len=60, mode=mode)
+                assert to_json(evaluate(f)) == to_json(evaluate_by_products(f))
+
+
+def test_evaluate_matches_products_on_large_formulas(ab):
+    rng = Random(4243)
+    for _ in range(5):
+        f = parse(canonical_word(random_tree(rng, 800, ab)), ab)
+        assert occurrence_count(f) >= 800
+        assert to_json(evaluate(f)) == to_json(evaluate_by_products(f))
+
+
+def test_evaluate_rejects_unknown_letter(ab):
+    bad = Formula((Unary(UnaryOp.STAR, Formula((Letter("z"),), ab)),), ab)
+    with pytest.raises(UnknownSymbol):
+        evaluate(bad)
+    with pytest.raises(UnknownSymbol):
+        evaluate_by_products(bad)
 
 
 @given(formulas())
