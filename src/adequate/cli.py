@@ -352,6 +352,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
+    except RecursionError:
+        print("input nested too deeply", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("out of memory", file=sys.stderr)
+        return 2
 
 
 def run() -> None:

@@ -102,6 +102,24 @@ class SigmaTree:
         return {k: tuple(v) for k, v in groups.items()}
 
     @cached_property
+    def _preimages(self) -> dict[SignedLabel, tuple[int, ...]]:
+        # Signed label -> per vertex y, the bitmask of every x with an edge
+        # so labelled from x to y; letters without edges get all-zero lists.
+        # Built per letter, so that no SignedLabel is made per edge.
+        n = self.vertex_count
+        letters = self.alphabet.letters
+        heads = {letter: [0] * n for letter in letters}
+        tails = {letter: [0] * n for letter in letters}
+        for label, s, t in self.edges:
+            heads[label][t] |= 1 << s
+            tails[label][s] |= 1 << t
+        pre: dict[SignedLabel, tuple[int, ...]] = {}
+        for letter in letters:
+            pre[SignedLabel(letter, False)] = tuple(heads[letter])
+            pre[SignedLabel(letter, True)] = tuple(tails[letter])
+        return pre
+
+    @cached_property
     def _edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
 
@@ -335,14 +353,28 @@ def to_json(tree: SigmaTree) -> str:
 
 
 def from_json(text: str) -> SigmaTree:
-    """Parse and validate the canonical JSON form."""
+    """Parse and validate the canonical JSON form.
+
+    The alphabet must be a string, ``n``, ``start``, ``end``, ``s`` and ``t``
+    integers (booleans are not), and labels one-character strings; anything
+    else raises ``ValueError``.
+    """
     obj = json.loads(text)
     try:
-        alphabet = Alphabet.from_string(obj["alphabet"])
+        letters, n, start, end = obj["alphabet"], obj["n"], obj["start"], obj["end"]
         edges = [(e["l"], e["s"], e["t"]) for e in obj["edges"]]
-        return validate(obj["n"], obj["start"], obj["end"], edges, alphabet)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tree JSON: {exc!r}") from exc
+    if type(letters) is not str:
+        raise ValueError("malformed tree JSON: the alphabet is not a string")
+    if type(n) is not int or type(start) is not int or type(end) is not int:
+        raise ValueError("malformed tree JSON: n, start and end must be integers")
+    for label, s, t in edges:
+        if type(s) is not int or type(t) is not int:
+            raise ValueError("malformed tree JSON: edge ends must be integers")
+        if type(label) is not str or len(label) != 1:
+            raise ValueError("malformed tree JSON: an edge label is not one character")
+    return validate(n, start, end, edges, Alphabet.from_string(letters))
 
 
 def to_dot(tree: SigmaTree, name: str = "sigma_tree") -> str:

@@ -1,8 +1,19 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import os
+from random import Random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adequate import cli, render, to_json
 from adequate.cli import main
+from adequate.generate import random_tree
+from strategies import AB, formulas
 
 
 def run(capsys, *argv):
@@ -152,3 +163,95 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(a)+(b)+"
+
+
+def test_deeply_nested_json_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"a":' * 100_000 + "1" + "}" * 100_000)
+    code, out, err = run(capsys, "prune", f"@{deep}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "normal_form", exhausted)
+    code, out, err = run(capsys, "nf", "a")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1
+
+
+_KEYS = ["alphabet", "n", "start", "end", "edges", "l", "s", "t"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text("ab c", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=4),
+    max_leaves=6,
+)
+_TREE_JSON = st.builds(
+    lambda seed, edges: to_json(random_tree(Random(seed), edges, AB)),
+    st.integers(0, 2**32),
+    st.integers(0, 30),
+)
+
+
+def _mutated(text, pos, cut, insert):
+    pos = 1 + pos % len(text)
+    return text[:pos] + insert + text[pos + cut :]
+
+
+_OPERAND_TEXT = st.one_of(
+    formulas().map(render),
+    st.text("abcx()+* \n", max_size=30),
+    _TREE_JSON,
+    st.builds(
+        _mutated,
+        _TREE_JSON,
+        st.integers(0, 10**4),
+        st.integers(0, 4),
+        st.text('{}[]":,-.0123456789abltrue', max_size=3),
+    ),
+    st.dictionaries(st.sampled_from(_KEYS), _JSON_VALUES, max_size=6).map(json.dumps),
+)
+_FLAGS = [
+    ["--alphabet", "abc"],
+    ["--alphabet", "xy"],
+    ["--mode", "left"],
+    ["--mode", "right"],
+    ["--semigroup"],
+    ["--swap-sided-ops"],
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=200)
+@given(
+    flags=st.lists(st.sampled_from(_FLAGS), max_size=3),
+    command=st.sampled_from([("eq", 2), ("nf", 1), ("prune", 1), ("morph", 2)]),
+    operands=st.lists(st.tuples(_OPERAND_TEXT, st.booleans()), min_size=2, max_size=2),
+)
+def test_main_is_total(fuzz_dir, flags, command, operands):
+    # Operand texts are fuzzed, inline or as @file contents; command words
+    # and flags stay valid, since argparse's usage errors take two lines.
+    name, arity = command
+    argv = [arg for flag in flags for arg in flag] + [name]
+    for k, (text, as_file) in enumerate(operands[:arity]):
+        if as_file or text.startswith(("-", "@")):
+            path = os.path.join(fuzz_dir, f"operand{k}")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            text = f"@{path}"
+        argv.append(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    diagnostic = err.getvalue()
+    assert code in (0, 1, 2)
+    assert len(diagnostic.splitlines()) <= 1
+    assert "Traceback" not in diagnostic

@@ -8,6 +8,9 @@ from hypothesis import given
 from adequate import (
     AlphabetMismatch,
     Alphabet,
+    Edge,
+    SigmaTree,
+    SignedLabel,
     base_tree,
     candidate_sets,
     evaluate,
@@ -151,6 +154,49 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
     assert big.vertex_count == 3200
     assert _propagate(big, big) == propagate_unmemoised(big, big)
     assert outcomes == {False, True}
+    # Targets that never use the source's letter c: every image along c is 0.
+    abc = Alphabet.from_string("abc")
+    c_images = 0
+    for _ in range(6):
+        t1 = random_tree(rng, rng.randrange(20, 400), abc)
+        t2 = _over(abc, random_tree(rng, rng.randrange(64, 400), ab))
+        masks = _propagate(t1, t2)
+        assert masks == propagate_unmemoised(t1, t2)
+        for p, kids in enumerate(traversal(t1).children):
+            if any(slab.letter == "c" for _, slab in kids):
+                assert masks[p] == 0
+                c_images += 1
+    assert c_images > 0
+    # Wide targets whose edges all carry one letter.
+    for _ in range(6):
+        t2 = _relabelled(random_tree(rng, rng.randrange(64, 400), ab), "a")
+        for t1 in (t2, random_relabelling(rng, t2), random_tree(rng, rng.randrange(200), ab)):
+            assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
+
+
+def _over(alphabet, tree):
+    return SigmaTree(alphabet, tree.vertex_count, tree.start, tree.end, tree.edges)
+
+
+def _relabelled(tree, letter):
+    edges = tuple(Edge(letter, s, t) for _, s, t in tree.edges)
+    return SigmaTree(tree.alphabet, tree.vertex_count, tree.start, tree.end, edges)
+
+
+def test_preimages_match_edge_groups(ab):
+    rng = Random(20243)
+    for edges in [0, 1, 2, 64, 65, 300] + [rng.randrange(301) for _ in range(24)]:
+        tree = random_tree(rng, edges, ab)
+        groups = tree._edge_groups
+        pre = tree._preimages
+        assert set(pre) == {SignedLabel(l, r) for l in ab.letters for r in (False, True)}
+        for slab, back in pre.items():
+            assert len(back) == tree.vertex_count
+            pairs = {
+                (x, y) for y, mask in enumerate(back) for x in range(tree.vertex_count)
+                if (mask >> x) & 1
+            }
+            assert pairs == set(groups.get(slab, ()))
 
 
 def test_wide_targets_match_bruteforce(ab):

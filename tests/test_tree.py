@@ -242,6 +242,33 @@ def test_from_json_rejects_garbage(ab):
         from_json('{"alphabet":"ab","n":3,"start":0,"end":0,"edges":[{"l":"a","s":0,"t":1}]}')
 
 
+_BASE_JSON = {"alphabet": "ab", "n": 2, "start": 0, "end": 1, "edges": [{"l": "a", "s": 0, "t": 1}]}
+
+
+@pytest.mark.parametrize("key", ["n", "start", "end", "s", "t"])
+@pytest.mark.parametrize("value", [False, True, 1.0, "1", None, [1]])
+def test_from_json_rejects_non_int_vertex_fields(key, value):
+    obj = json.loads(json.dumps(_BASE_JSON))
+    (obj["edges"][0] if key in ("s", "t") else obj)[key] = value
+    with pytest.raises(ValueError, match="^malformed tree JSON: "):
+        from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("label", ["", "ab", 1, None, ["a"]])
+def test_from_json_rejects_bad_labels(label):
+    obj = json.loads(json.dumps(_BASE_JSON))
+    obj["edges"][0]["l"] = label
+    with pytest.raises(ValueError, match="^malformed tree JSON: "):
+        from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize("alphabet", [["a", "b"], {"a": 0, "b": 1}, None])
+def test_from_json_rejects_non_string_alphabet(alphabet):
+    obj = dict(_BASE_JSON, alphabet=alphabet)
+    with pytest.raises(ValueError, match="^malformed tree JSON: "):
+        from_json(json.dumps(obj))
+
+
 def test_dot_export(ab):
     dot = to_dot(evaluate(parse("(a)+a", ab)))
     assert "0 [shape=diamond];" in dot
