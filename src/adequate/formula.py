@@ -77,6 +77,11 @@ class Alphabet:
             raise UnknownSymbol(detail=f"{ch!r} is not a generator") from None
 
     @cached_property
+    def _letters(self) -> dict[str, "Letter"]:
+        # One shared Letter per generator, so parsing allocates none.
+        return {ch: Letter(ch) for ch in self.letters}
+
+    @cached_property
     def _omega_table(self) -> dict[int, str]:
         # Word order: generators in alphabet order, then ( ) + *.
         ranks = {ch: i for i, ch in enumerate(self.letters)}
@@ -109,10 +114,7 @@ class Formula:
     alphabet: Alphabet
 
 
-def _allowed_ops(mode: "Mode | None") -> frozenset[UnaryOp]:
-    if mode is None:
-        return frozenset(UnaryOp)
-    return mode.allowed_ops()
+_OPS = {"+": UnaryOp.PLUS, "*": UnaryOp.STAR}
 
 
 def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
@@ -121,53 +123,57 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     Grammar: ``Expr := Factor*``, ``Factor := letter | '(' Expr ')' ('+'|'*')``.
     Whitespace between tokens is ignored.  With no mode, both unary symbols
     are admitted and empty (sub)formulas are legal.
+
+    One pass over the characters.  A group closed by ``)`` is held until its
+    operator arrives; only whitespace may come in between.  Letters are the
+    alphabet's shared :class:`Letter` instances.
     """
-    allowed = _allowed_ops(mode)
+    allowed = frozenset(UnaryOp) if mode is None else mode.allowed_ops()
     allow_empty = mode is None or not mode.semigroup
-    known = alphabet._index
-    stack: list[list[Factor]] = [[]]
-    opens: list[int] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in known:
-            stack[-1].append(Letter(ch))
-            i += 1
-            continue
-        if ch == "(":
-            stack.append([])
-            opens.append(i)
-            i += 1
-            continue
-        if ch == ")":
-            if len(stack) == 1:
-                raise UnbalancedParenthesis(i)
-            body = stack.pop()
-            open_at = opens.pop()
-            i += 1
-            while i < n and text[i].isspace():
-                i += 1
-            if i >= n or text[i] not in "+*":
-                raise BareGroup(i if i < n else n)
-            op = UnaryOp(text[i])
+    letters = alphabet._letters
+    top: list[Factor] = []
+    outer: list[tuple[list[Factor], int]] = []  # enclosing factor lists, "(" offsets
+    closed: list[Factor] | None = None  # a body whose ")" awaits its operator
+    closed_at = 0
+    for i, ch in enumerate(text):
+        if closed is None:
+            letter = letters.get(ch)
+            if letter is not None:
+                top.append(letter)
+            elif ch == "(":
+                outer.append((top, i))
+                top = []
+            elif ch == ")":
+                if not outer:
+                    raise UnbalancedParenthesis(i)
+                closed = top
+                top, closed_at = outer.pop()
+            elif ch.isspace():
+                continue
+            elif ch in _OPS:
+                raise DanglingUnary(i, f"{ch!r} must follow a closing parenthesis")
+            else:
+                raise UnknownSymbol(i, f"{ch!r}")
+        else:
+            op = _OPS.get(ch)
+            if op is None:
+                if ch.isspace():
+                    continue
+                raise BareGroup(i)
             if op not in allowed:
                 raise OpNotInSignature(i, f"{op.value!r} is not in the signature of this mode")
-            if not body and not allow_empty:
-                raise EmptyNotAllowed(open_at, "empty group in semigroup mode")
-            stack[-1].append(Unary(op, Formula(tuple(body), alphabet)))
-            i += 1
-            continue
-        if ch in "+*":
-            raise DanglingUnary(i, f"{ch!r} must follow a closing parenthesis")
-        raise UnknownSymbol(i, f"{ch!r}")
-    if len(stack) > 1:
+            if not closed and not allow_empty:
+                raise EmptyNotAllowed(closed_at, "empty group in semigroup mode")
+            top.append(Unary(op, Formula(tuple(closed), alphabet)))
+            closed = None
+    n = len(text)
+    if closed is not None:
+        raise BareGroup(n)
+    if outer:
         raise UnbalancedParenthesis(n)
-    if not stack[0] and not allow_empty:
+    if not top and not allow_empty:
         raise EmptyNotAllowed(0, "empty formula in semigroup mode")
-    return Formula(tuple(stack[0]), alphabet)
+    return Formula(tuple(top), alphabet)
 
 
 def render(formula: Formula) -> str:

@@ -68,8 +68,13 @@ def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
         raise AlphabetMismatch("trees are over different alphabets")
 
 
-def _propagate(t1: SigmaTree, t2: SigmaTree) -> list[int]:
+def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[int]:
     """Run the filtering pass; returns final masks by traversal position.
+
+    With ``_early_exit`` the pass stops at the first empty mask and sets
+    ``masks[0]`` to 0: every ancestor's mask takes in the image of an empty
+    set, so the start's mask would end empty anyway.  Whenever ``masks[0]``
+    is not 0 the masks are those of the full pass.
 
     Targets of at most 64 vertices test bits on machine-size ints directly:
     there an image costs less to recompute than to look up, so this branch
@@ -99,6 +104,9 @@ def _propagate(t1: SigmaTree, t2: SigmaTree) -> list[int]:
                         bstar |= 1 << x
                 bp &= bstar
             masks[p] = bp
+            if not bp and _early_exit:
+                masks[0] = 0
+                return masks
         return masks
     preimages = t2._preimages
     memos: defaultdict[SignedLabel, dict[int, int]] = defaultdict(dict)
@@ -119,6 +127,9 @@ def _propagate(t1: SigmaTree, t2: SigmaTree) -> list[int]:
                 memo[bc] = image
             bp &= image
         masks[p] = bp
+        if not bp and _early_exit:
+            masks[0] = 0
+            return masks
     return masks
 
 
@@ -131,11 +142,11 @@ def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> CandidateSets:
 def exists_morphism(t1: SigmaTree, t2: SigmaTree) -> bool:
     """True iff there is a morphism from ``t1`` to ``t2``.
 
-    Runs the full propagation pass and answers from the start vertex's
-    candidate set.
+    Runs the propagation pass, stopping at the first empty candidate set,
+    and answers from the start vertex's candidate set.
     """
     _check_alphabets(t1, t2)
-    return _propagate(t1, t2)[0] != 0
+    return _propagate(t1, t2, _early_exit=True)[0] != 0
 
 
 def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
@@ -145,7 +156,7 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
     admissible target vertex, so the witness is deterministic.
     """
     _check_alphabets(t1, t2)
-    masks = _propagate(t1, t2)
+    masks = _propagate(t1, t2, _early_exit=True)
     if masks[0] == 0:
         return None
     tr = t1._traversal

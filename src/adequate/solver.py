@@ -58,8 +58,14 @@ DEFAULT_MODE = Mode()
 
 
 def ensure_admissible(formula: Formula, mode: Mode) -> None:
-    """Raise unless the formula fits the mode's signature and emptiness rules."""
+    """Raise unless the formula fits the mode's signature and emptiness rules.
+
+    A monoid mode that admits both unary operations admits every formula, so
+    there the walk is skipped.
+    """
     allowed = mode.allowed_ops()
+    if not mode.semigroup and len(allowed) == len(UnaryOp):
+        return
     if mode.semigroup and not formula.factors:
         raise EmptyNotAllowed(detail="empty formula in semigroup mode")
     stack = list(formula.factors)

@@ -83,13 +83,17 @@ class SigmaTree:
     def _adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
         # Per vertex: (letter index, 0 out / 1 in, neighbour), sorted --
         # this fixes the traversal tie-break and groups equal signed labels.
-        index = self.alphabet.index
+        index = self.alphabet._index
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
         for label, s, t in self.edges:
-            li = index(label)
+            li = index.get(label)
+            if li is None:
+                li = self.alphabet.index(label)  # raises UnknownSymbol
             adj[s].append((li, 0, t))
             adj[t].append((li, 1, s))
-        return tuple(tuple(sorted(entries)) for entries in adj)
+        for entries in adj:
+            entries.sort()
+        return tuple(map(tuple, adj))
 
     @cached_property
     def _edge_groups(self) -> dict[SignedLabel, tuple[tuple[int, int], ...]]:
@@ -217,10 +221,11 @@ def evaluate(formula: Formula) -> SigmaTree:
     numbering that folding :func:`unpruned_product`, :func:`unpruned_plus`
     and :func:`unpruned_star` over the syntax tree gives.  The result has
     exactly one edge per generator occurrence; runs in linear time in the
-    formula length.
+    formula length.  Letters are checked against the alphabet by dict
+    membership; an unknown one raises ``UnknownSymbol``.
     """
     alphabet = formula.alphabet
-    index = alphabet.index
+    known = alphabet._index
     edges: list[tuple[str, int, int]] = []
     # glue[v] is the earlier vertex that v was glued onto, or -1.
     glue = [-1]
@@ -230,9 +235,12 @@ def evaluate(formula: Formula) -> SigmaTree:
     while True:
         for item in items:
             if type(item) is Letter:
-                index(item.letter)
-                edges.append((item.letter, cursor, len(glue)))
-                cursor = len(glue)
+                label = item.letter
+                if label not in known:
+                    alphabet.index(label)  # raises UnknownSymbol
+                v = len(glue)
+                edges.append((label, cursor, v))
+                cursor = v
                 glue.append(-1)
             else:
                 groups.append((cursor, item.op, items))
@@ -269,36 +277,49 @@ def evaluate(formula: Formula) -> SigmaTree:
 
 def _compute_traversal(tree: SigmaTree) -> TraversalOrder:
     n = tree.vertex_count
-    letters = tree.alphabet.letters
     adj = tree._adjacency
+    # One SignedLabel per (letter, direction), at index 2 * letter + reverse.
+    slabs = [SignedLabel(letter, rev) for letter in tree.alphabet.letters for rev in (False, True)]
+    start = tree.start
     position = [-1] * n
-    order = [tree.start]
-    position[tree.start] = 0
+    order: list[int] = []
     parent: list[Optional[tuple[int, SignedLabel]]] = [None] * n
-    span = [(0, 0)] * n
     children: list[list[tuple[int, SignedLabel]]] = [[] for _ in range(n)]
-    stack = [(tree.start, iter(adj[tree.start]))]
+    up: list[int] = []  # per position, the parent's position
+    # Explicit-stack preorder.  Neighbours are pushed in reverse so they pop
+    # in adjacency order, and marked when pushed, so a cycle cannot loop.
+    seen = bytearray(n)
+    seen[start] = 1
+    stack = [start]
     while stack:
-        v, neighbours = stack[-1]
-        descended = False
-        for li, rev, w in neighbours:
-            if position[w] < 0:
-                slab = SignedLabel(letters[li], bool(rev))
-                position[w] = len(order)
-                children[position[v]].append((position[w], slab))
-                parent[w] = (v, slab)
-                order.append(w)
-                stack.append((w, iter(adj[w])))
-                descended = True
-                break
-        if not descended:
-            stack.pop()
-            span[v] = (position[v], len(order))
+        v = stack.pop()
+        p = len(order)
+        position[v] = p
+        order.append(v)
+        if p:
+            u, slab = parent[v]
+            pu = position[u]
+            children[pu].append((p, slab))
+            up.append(pu)
+        else:
+            up.append(-1)
+        for li, rev, w in reversed(adj[v]):
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = (v, slabs[li + li + rev])
+                stack.append(w)
+    # Subtree sizes, children before parents, give each span.
+    size = [1] * len(order)
+    span = [(0, 0)] * n
+    for p in range(len(order) - 1, -1, -1):
+        span[order[p]] = (p, p + size[p])
+        if p:
+            size[up[p]] += size[p]
     return TraversalOrder(
         tuple(order),
         tuple(position),
         tuple(parent),
-        tuple(tuple(c) for c in children),
+        tuple(map(tuple, children)),
         tuple(span),
     )
 
@@ -308,7 +329,9 @@ def traversal(tree: SigmaTree) -> TraversalOrder:
 
     Neighbours are visited by ascending (letter rank, direction with forward
     first, original neighbour id), so every run over the same representation
-    produces the same numbering.
+    produces the same numbering.  Computed once per tree by an explicit-stack
+    preorder walk, with one ``SignedLabel`` per letter and direction, and
+    spans from subtree sizes in one reverse pass.
     """
     return tree._traversal
 

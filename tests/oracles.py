@@ -2,21 +2,32 @@
 
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
-descendant sets come from explicit path enumeration.  The evaluator and the
-propagation pass that the library replaced with faster code are kept here as
-differential references; the faster code must give identical results.
+descendant sets come from explicit path enumeration.  The parser, evaluator,
+traversal and propagation pass that the library replaced with faster code
+are kept here as differential references; the faster code must give
+identical results.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Optional
 
 from adequate import (
     Alphabet,
+    BareGroup,
+    DanglingUnary,
+    EmptyNotAllowed,
     Formula,
     Letter,
+    OpNotInSignature,
     SigmaTree,
+    SignedLabel,
+    TraversalOrder,
+    Unary,
     UnaryOp,
+    UnbalancedParenthesis,
+    UnknownSymbol,
     base_tree,
     evaluate,
     exists_morphism_bruteforce,
@@ -174,3 +185,92 @@ def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
             bp &= int.from_bytes(buf, "little")
         masks[p] = bp
     return masks
+
+
+def parse_by_index(text: str, alphabet: Alphabet, mode=None) -> Formula:
+    """Reference parser: an index loop that reads a group's operator as soon
+    as its ``)`` is seen, skipping whitespace ahead."""
+    allowed = frozenset(UnaryOp) if mode is None else mode.allowed_ops()
+    allow_empty = mode is None or not mode.semigroup
+    known = alphabet._index
+    stack: list[list] = [[]]
+    opens: list[int] = []
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in known:
+            stack[-1].append(Letter(ch))
+            i += 1
+            continue
+        if ch == "(":
+            stack.append([])
+            opens.append(i)
+            i += 1
+            continue
+        if ch == ")":
+            if len(stack) == 1:
+                raise UnbalancedParenthesis(i)
+            body = stack.pop()
+            open_at = opens.pop()
+            i += 1
+            while i < n and text[i].isspace():
+                i += 1
+            if i >= n or text[i] not in "+*":
+                raise BareGroup(i if i < n else n)
+            op = UnaryOp(text[i])
+            if op not in allowed:
+                raise OpNotInSignature(i, f"{op.value!r} is not in the signature of this mode")
+            if not body and not allow_empty:
+                raise EmptyNotAllowed(open_at, "empty group in semigroup mode")
+            stack[-1].append(Unary(op, Formula(tuple(body), alphabet)))
+            i += 1
+            continue
+        if ch in "+*":
+            raise DanglingUnary(i, f"{ch!r} must follow a closing parenthesis")
+        raise UnknownSymbol(i, f"{ch!r}")
+    if len(stack) > 1:
+        raise UnbalancedParenthesis(n)
+    if not stack[0] and not allow_empty:
+        raise EmptyNotAllowed(0, "empty formula in semigroup mode")
+    return Formula(tuple(stack[0]), alphabet)
+
+
+def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
+    """Reference traversal: a depth-first search keeping one neighbour
+    iterator per open vertex, marking vertices when they are visited."""
+    n = tree.vertex_count
+    letters = tree.alphabet.letters
+    adj = tree._adjacency
+    position = [-1] * n
+    order = [tree.start]
+    position[tree.start] = 0
+    parent: list[Optional[tuple[int, SignedLabel]]] = [None] * n
+    span = [(0, 0)] * n
+    children: list[list[tuple[int, SignedLabel]]] = [[] for _ in range(n)]
+    stack = [(tree.start, iter(adj[tree.start]))]
+    while stack:
+        v, neighbours = stack[-1]
+        descended = False
+        for li, rev, w in neighbours:
+            if position[w] < 0:
+                slab = SignedLabel(letters[li], bool(rev))
+                position[w] = len(order)
+                children[position[v]].append((position[w], slab))
+                parent[w] = (v, slab)
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                descended = True
+                break
+        if not descended:
+            stack.pop()
+            span[v] = (position[v], len(order))
+    return TraversalOrder(
+        tuple(order),
+        tuple(position),
+        tuple(parent),
+        tuple(tuple(c) for c in children),
+        tuple(span),
+    )

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from random import Random
+
 import pytest
 from hypothesis import given
 
@@ -17,12 +19,15 @@ from adequate import (
     UnaryOp,
     UnbalancedParenthesis,
     UnknownSymbol,
+    canonical_word,
     concat,
     occurrence_count,
     occurring_letters,
     parse,
     render,
 )
+from adequate.generate import enumerate_trees, random_tree
+from oracles import parse_by_index
 from strategies import AB, formulas
 
 SEMIGROUP = Mode(semigroup=True)
@@ -155,3 +160,57 @@ def test_alphabet_index(ab):
     assert ab.index("b") == 1
     with pytest.raises(UnknownSymbol):
         ab.index("z")
+
+
+# The mode None plus every Mode: 13 parser configurations.
+ALL_MODES = (None,) + tuple(
+    Mode(sidedness, semigroup, swap)
+    for sidedness in Sidedness
+    for semigroup in (False, True)
+    for swap in (False, True)
+)
+
+
+def _outcome(parser, text, mode):
+    try:
+        return parser(text, AB, mode)
+    except Exception as exc:  # the type, offset and message must all agree
+        return type(exc), getattr(exc, "offset", None), str(exc)
+
+
+def test_parse_matches_reference_on_random_texts():
+    rng = Random(5150)
+    symbols = "ab()+* c\t"
+    raised = 0
+    for _ in range(3000):
+        text = "".join(rng.choice(symbols) for _ in range(rng.randrange(16)))
+        for mode in ALL_MODES:
+            got = _outcome(parse, text, mode)
+            assert got == _outcome(parse_by_index, text, mode), (text, mode)
+            raised += type(got) is tuple
+    assert 0 < raised < 3000 * len(ALL_MODES)
+
+
+def test_parse_matches_reference_on_corpus_words():
+    for t in enumerate_trees(4, AB):
+        text = canonical_word(t)
+        for mode in ALL_MODES:
+            assert _outcome(parse, text, mode) == _outcome(parse_by_index, text, mode)
+
+
+def test_parse_matches_reference_on_large_words():
+    rng = Random(5151)
+    for _ in range(4):
+        text = canonical_word(random_tree(rng, 800, AB))
+        spaced = " ".join(text)
+        for mode in ALL_MODES:
+            assert _outcome(parse, text, mode) == _outcome(parse_by_index, text, mode)
+        f = parse(spaced, AB)
+        assert f == parse_by_index(spaced, AB)
+        assert occurrence_count(f) >= 800
+
+
+def test_parse_shares_letters(ab):
+    f = parse("ab(a)+", ab)
+    assert f.factors[0] is f.factors[2].body.factors[0]
+    assert f.factors[0] == Letter("a")

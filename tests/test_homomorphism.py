@@ -222,9 +222,53 @@ def test_wide_targets_match_bruteforce(ab):
     assert min(outcomes.values()) >= 50
 
 
+def test_early_exit_masks_match_full_pass(ab):
+    # Whenever the start keeps a candidate the early-exit pass is the full
+    # pass; otherwise the full pass rejects as well.
+    rng = Random(20244)
+    outcomes = {False: 0, True: 0}
+    for _ in range(40):
+        x = random_tree(rng, rng.randrange(0, 400), ab)
+        pairs = [
+            (x, x),
+            (random_relabelling(rng, x), x),
+            (prune(x).tree, x),
+            (x, prune(x).tree),
+            (x, random_tree(rng, rng.randrange(0, 400), ab)),
+            (random_tree(rng, rng.randrange(0, 12), ab), x),
+        ]
+        for t1, t2 in pairs:
+            full = _propagate(t1, t2)
+            early = _propagate(t1, t2, _early_exit=True)
+            if early[0]:
+                assert early == full
+            else:
+                assert full[0] == 0
+            outcomes[early[0] != 0] += 1
+    assert min(outcomes.values()) >= 40
+
+
+def test_early_exit_answers_match_bruteforce(ab):
+    rng = Random(20245)
+    outcomes = {False: 0, True: 0}
+    for _ in range(1500):
+        t1 = random_tree(rng, rng.randrange(7), ab)
+        t2 = random_tree(rng, rng.randrange(7), ab)
+        if rng.random() < 0.5:
+            t1 = prune(unpruned_product(t2, t1)).tree
+        answer = exists_morphism(t1, t2)
+        assert answer == exists_morphism_bruteforce(t1, t2)
+        witness = extract_morphism(t1, t2)
+        assert (witness is not None) == answer
+        if witness is not None:
+            assert is_morphism(t1, t2, witness.mapping)
+        outcomes[answer] += 1
+    assert min(outcomes.values()) >= 100
+
+
 def test_extract_raises_on_unsupported_candidate(ab, monkeypatch):
     # Masks that no propagation pass yields: the start has an image, its
     # child none.
-    monkeypatch.setattr(homomorphism, "_propagate", lambda t1, t2: [1, 0])
+    monkeypatch.setattr(homomorphism, "_propagate", lambda t1, t2, **_: [1, 0])
     with pytest.raises(RuntimeError):
         extract_morphism(base_tree("a", ab), base_tree("a", ab))

@@ -181,3 +181,24 @@ def test_equal_raises_if_semigroup_formula_evaluates_to_identity(monkeypatch):
     monkeypatch.setattr(solver, "evaluate", lambda formula: trivial_tree(formula.alphabet))
     with pytest.raises(RuntimeError):
         equal(f, f, semigroup)
+
+
+@pytest.mark.parametrize("semigroup", (False, True))
+@pytest.mark.parametrize("sidedness", tuple(Sidedness))
+def test_normal_form_is_a_congruence_in_every_mode(sidedness, semigroup):
+    mode = Mode(sidedness, semigroup)
+    rng = Random(4040)
+    for _ in range(120):
+        f = random_formula(rng, AB, max_len=24, mode=mode)
+        g = random_formula(rng, AB, max_len=24, mode=mode)
+        via_forms = concat(normal_form(f, mode), normal_form(g, mode))
+        assert render(normal_form(concat(f, g), mode)) == render(normal_form(via_forms, mode))
+
+
+def test_ensure_admissible_skips_only_modes_that_admit_everything():
+    f = parse("((a)*b)+", AB)
+    solver.ensure_admissible(f, TWO_SIDED)
+    solver.ensure_admissible(f, Mode(swap_sided_ops=True))
+    for mode in (LEFT, Mode(Sidedness.RIGHT), Mode(semigroup=True)):
+        with pytest.raises((OpNotInSignature, EmptyNotAllowed)):
+            solver.ensure_admissible(concat(f, parse("()*", AB)), mode)

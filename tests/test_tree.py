@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 
 from adequate import (
+    Alphabet,
     BadVertexId,
     Edge,
     Formula,
@@ -37,8 +38,8 @@ from adequate import (
     unpruned_star,
     validate,
 )
-from adequate.generate import enumerate_trees, random_formula, random_tree
-from oracles import descendants_by_paths, evaluate_by_products
+from adequate.generate import enumerate_trees, random_formula, random_relabelling, random_tree
+from oracles import descendants_by_paths, evaluate_by_products, traversal_by_iterators
 from strategies import formulas, trees
 
 
@@ -194,6 +195,39 @@ def test_traversal_parents_precede_children(t):
         if v != t.start:
             parent_vertex, _ = tr.parent[v]
             assert tr.position[parent_vertex] < tr.position[v]
+
+
+def test_traversal_matches_reference_on_random_trees():
+    rng = Random(6060)
+    for letters in ("ab", "abc"):
+        alphabet = Alphabet.from_string(letters)
+        for edges in [0, 1, 2, 300] + [rng.randrange(301) for _ in range(40)]:
+            t = random_tree(rng, edges, alphabet)
+            for tree in (t, random_relabelling(rng, t), unpruned_star(t)):
+                assert traversal(tree) == traversal_by_iterators(tree)
+
+
+def test_traversal_matches_reference_on_evaluated_trees(ab):
+    rng = Random(6061)
+    for _ in range(200):
+        t = evaluate(random_formula(rng, ab, max_len=80))
+        assert traversal(t) == traversal_by_iterators(t)
+
+
+@pytest.mark.parametrize(
+    "n, edges",
+    [
+        (4, [("a", 0, 1), ("b", 1, 2), ("a", 2, 0)]),  # a triangle; vertex 3 apart
+        (3, [("a", 0, 1), ("b", 0, 1)]),  # two edges between the same vertices
+        (3, [("a", 0, 1), ("a", 1, 0)]),
+        (3, [("a", 0, 0), ("b", 0, 1)]),  # a loop
+        (5, [("a", 0, 1), ("a", 1, 2), ("b", 2, 3), ("b", 3, 1)]),
+    ],
+)
+def test_validate_rejects_cycles_with_tree_edge_count(ab, n, edges):
+    assert len(edges) == n - 1
+    with pytest.raises(NotATree):
+        validate(n, 0, 0, edges, ab)
 
 
 def test_trunk_examples(ab):
