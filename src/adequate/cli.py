@@ -18,7 +18,7 @@ from random import Random
 
 from .canonical import canonical_word
 from .errors import Error
-from .formula import Alphabet, RESERVED, parse, render
+from .formula import Alphabet, parse, render
 from .generate import enumerate_trees, random_tree
 from .homomorphism import (
     exists_morphism,
@@ -31,6 +31,7 @@ from .solver import (
     KNOWN_NON_IDENTITIES,
     Mode,
     Sidedness,
+    _identity_alphabet,
     check_identity,
     equal,
     normal_form,
@@ -172,19 +173,6 @@ def _cmd_morph(args) -> int:
         return 1
     print(json.dumps({"exists": True, "map": list(witness.mapping)}, separators=(",", ":")))
     return 0
-
-
-def _identity_alphabet(*texts: str) -> Alphabet:
-    letters: list[str] = []
-    seen: set[str] = set()
-    for text in texts:
-        for ch in text:
-            if ch.isspace() or ch in RESERVED:
-                continue
-            if ch not in seen:
-                seen.add(ch)
-                letters.append(ch)
-    return Alphabet(tuple(letters) if letters else ("x",))
 
 
 def _cmd_check_identity(args) -> int:

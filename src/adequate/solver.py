@@ -13,15 +13,7 @@ from enum import Enum
 
 from .canonical import canonical_formula
 from .errors import AlphabetMismatch, EmptyNotAllowed, OpNotInSignature
-from .formula import (
-    Alphabet,
-    Formula,
-    Unary,
-    UnaryOp,
-    occurring_letters,
-    parse,
-    render,
-)
+from .formula import RESERVED, Alphabet, Formula, Unary, UnaryOp, parse, render
 from .homomorphism import exists_morphism
 from .pruning import prune
 from .tree import evaluate
@@ -112,18 +104,27 @@ def check_identity(lhs: Formula, rhs: Formula, mode: Mode = DEFAULT_MODE) -> boo
     Letters are read as identity variables; the check is the word problem in
     the free object over the variables that actually occur.
     """
-    letters = list(occurring_letters(lhs))
-    seen = set(letters)
-    for ch in occurring_letters(rhs):
-        if ch not in seen:
-            seen.add(ch)
-            letters.append(ch)
-    if not letters:
-        letters = ["x"]  # both sides are idempotent-only words on no variables
-    alphabet = Alphabet(tuple(letters))
-    grounded_lhs = parse(render(lhs), alphabet, mode)
-    grounded_rhs = parse(render(rhs), alphabet, mode)
-    return equal(grounded_lhs, grounded_rhs, mode)
+    lhs_text, rhs_text = render(lhs), render(rhs)
+    alphabet = _identity_alphabet(lhs_text, rhs_text)
+    return equal(parse(lhs_text, alphabet, mode), parse(rhs_text, alphabet, mode), mode)
+
+
+def _identity_alphabet(*texts: str) -> Alphabet:
+    """The generators occurring in the texts, in first-occurrence order.
+
+    Texts that name no generator get the alphabet ``("x",)``: their sides
+    are idempotent-only words on no variables.
+    """
+    letters: list[str] = []
+    seen: set[str] = set()
+    for text in texts:
+        for ch in text:
+            if ch.isspace() or ch in RESERVED:
+                continue
+            if ch not in seen:
+                seen.add(ch)
+                letters.append(ch)
+    return Alphabet(tuple(letters) if letters else ("x",))
 
 
 def is_idempotent(formula: Formula, mode: Mode = DEFAULT_MODE) -> bool:

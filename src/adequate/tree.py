@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
@@ -122,6 +123,17 @@ class SigmaTree:
             pre[SignedLabel(letter, False)] = tuple(heads[letter])
             pre[SignedLabel(letter, True)] = tuple(tails[letter])
         return pre
+
+    @cached_property
+    def _supports(self) -> dict[SignedLabel, int]:
+        # Signed label -> the mask of every y whose preimage under it is not
+        # 0, i.e. every y that an edge so labelled leads to.  The union of a
+        # label's preimages is every x such an edge leaves, which is the
+        # support of the reverse label.
+        return {
+            SignedLabel(letter, not reverse): reduce(or_, back, 0)
+            for (letter, reverse), back in self._preimages.items()
+        }
 
     @cached_property
     def _edge_set(self) -> frozenset[Edge]:

@@ -38,7 +38,7 @@ from adequate import (
     unpruned_product,
     unpruned_star,
 )
-from adequate.formula import RESERVED
+from adequate.solver import _identity_alphabet
 
 
 def structural_key(tree: SigmaTree):
@@ -102,23 +102,10 @@ def descendants_by_paths(tree: SigmaTree, u: int) -> frozenset:
     return frozenset(out)
 
 
-def alphabet_of_texts(*texts: str) -> Alphabet:
-    letters = []
-    seen = set()
-    for text in texts:
-        for ch in text:
-            if ch.isspace() or ch in RESERVED:
-                continue
-            if ch not in seen:
-                seen.add(ch)
-                letters.append(ch)
-    return Alphabet(tuple(letters) if letters else ("x",))
-
-
 def oracle_equal_texts(lhs: str, rhs: str) -> bool:
     """Ground two formula texts over their own letters and compare by the
     brute-force morphism oracle in both directions."""
-    alphabet = alphabet_of_texts(lhs, rhs)
+    alphabet = _identity_alphabet(lhs, rhs)
     x = evaluate(parse(lhs, alphabet))
     y = evaluate(parse(rhs, alphabet))
     return exists_morphism_bruteforce(x, y) and exists_morphism_bruteforce(y, x)

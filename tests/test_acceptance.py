@@ -35,8 +35,8 @@ from adequate.generate import (
     random_relabelling,
     random_tree,
 )
-from adequate.solver import KNOWN_IDENTITIES, KNOWN_NON_IDENTITIES
-from oracles import alphabet_of_texts, oracle_equal_texts
+from adequate.solver import KNOWN_IDENTITIES, KNOWN_NON_IDENTITIES, _identity_alphabet
+from oracles import oracle_equal_texts
 
 AB = Alphabet.from_string("ab")
 _EXHAUSTIVE: list = []
@@ -215,14 +215,14 @@ def test_criterion_6_identity_suites():
         if not oracle_equal_texts(lhs, rhs):
             failures.append(("oracle rejects identity", lhs, rhs))
             continue
-        alphabet = alphabet_of_texts(lhs, rhs)
+        alphabet = _identity_alphabet(lhs, rhs)
         if check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is not True:
             failures.append(("solver rejects identity", lhs, rhs))
     for lhs, rhs in KNOWN_NON_IDENTITIES:
         if oracle_equal_texts(lhs, rhs):
             failures.append(("oracle accepts non-identity", lhs, rhs))
             continue
-        alphabet = alphabet_of_texts(lhs, rhs)
+        alphabet = _identity_alphabet(lhs, rhs)
         if check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is not False:
             failures.append(("solver accepts non-identity", lhs, rhs))
     _report(

@@ -156,10 +156,17 @@ def test_console_entry_point():
     import subprocess
     import sys
 
+    import adequate
+
+    # The child finds the package where this process found it, so the test
+    # also runs where only pytest's ``pythonpath`` setting puts it on the path.
+    src = os.path.dirname(os.path.dirname(adequate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "adequate.cli", "nf", "(b)+(a)+"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "(a)+(b)+"

@@ -172,6 +172,25 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
         t2 = _relabelled(random_tree(rng, rng.randrange(64, 400), ab), "a")
         for t1 in (t2, random_relabelling(rng, t2), random_tree(rng, rng.randrange(200), ab)):
             assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
+    # 65 target vertices: the narrowest targets the wide branch takes.
+    narrowest = {False: 0, True: 0}
+    for _ in range(40):
+        t2 = random_tree(rng, 64, ab)
+        assert t2.vertex_count == 65
+        for t1 in (
+            t2,
+            random_relabelling(rng, t2),
+            prune(t2).tree,
+            random_tree(rng, rng.randrange(12), ab),
+            random_tree(rng, rng.randrange(200), ab),
+            unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(4), ab)), t2),
+        ):
+            masks = _propagate(t1, t2)
+            assert masks == propagate_unmemoised(t1, t2)
+            narrowest[masks[0] != 0] += 1
+        t1, t2 = random_tree(rng, rng.randrange(100), abc), _over(abc, t2)
+        assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
+    assert min(narrowest.values()) >= 40
 
 
 def _over(alphabet, tree):
@@ -197,6 +216,29 @@ def test_preimages_match_edge_groups(ab):
                 if (mask >> x) & 1
             }
             assert pairs == set(groups.get(slab, ()))
+
+
+def test_supports_match_edge_groups(ab):
+    # Bit y of a label's support is set iff an edge so labelled leads to y,
+    # and the union of the label's preimages is the reverse label's support.
+    rng = Random(20246)
+    abc = Alphabet.from_string("abc")
+    cases = [random_tree(rng, n, ab) for n in (0, 1, 2, 64, 65, 300)]
+    cases += [random_tree(rng, rng.randrange(301), abc) for _ in range(12)]
+    # Over abc with no c-edge: both c supports are 0.
+    cases += [_over(abc, random_tree(rng, rng.randrange(301), ab)) for _ in range(12)]
+    for tree in cases:
+        groups = tree._edge_groups
+        supports = tree._supports
+        letters = tree.alphabet.letters
+        assert set(supports) == {SignedLabel(l, r) for l in letters for r in (False, True)}
+        for slab, support in supports.items():
+            heads = {y for _, y in groups.get(slab, ())}
+            assert support == sum(1 << y for y in heads)
+            union = 0
+            for mask in tree._preimages[slab]:
+                union |= mask
+            assert union == supports[SignedLabel(slab.letter, not slab.reverse)]
 
 
 def test_wide_targets_match_bruteforce(ab):

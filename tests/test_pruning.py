@@ -18,10 +18,15 @@ from adequate import (
     pruned_star,
     pruned_vertex_set,
     trivial_tree,
+    to_json,
     trunk,
+    unpruned_plus,
+    unpruned_product,
     validate,
 )
+from adequate import pruning
 from adequate.generate import random_relabelling, random_tree
+from oracles import propagate_unmemoised
 from strategies import trees
 
 
@@ -148,3 +153,19 @@ def test_algebraic_laws_on_random_operands(ab):
             pruned_product(pruned_plus(y), pruned_plus(x))
         )
         assert _nf(pruned_star(pruned_plus(x))) == _nf(pruned_plus(x))
+
+
+def test_prune_matches_unmemoised_propagation_on_wide_trees(ab, monkeypatch):
+    # Pruning's self-propagation takes the wide branch on these trees; the
+    # reference pass must give the same prune JSON and canonical words.
+    rng = Random(20250)
+    cases = []
+    for _ in range(6):
+        x = random_tree(rng, rng.randrange(65, 801), ab)
+        cases += [x, unpruned_product(unpruned_plus(random_relabelling(rng, x)), x)]
+    fast = [prune(t).tree for t in cases]
+    monkeypatch.setattr(pruning, "_propagate", propagate_unmemoised)
+    slow = [prune(t).tree for t in cases]
+    assert [to_json(t) for t in fast] == [to_json(t) for t in slow]
+    assert [canonical_word(t) for t in fast] == [canonical_word(t) for t in slow]
+    assert any(p.vertex_count < t.vertex_count for p, t in zip(fast, cases))

@@ -25,8 +25,9 @@ from adequate import (
     trivial_tree,
 )
 from adequate import solver
+from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
-from oracles import alphabet_of_texts, oracle_equal_texts
+from oracles import oracle_equal_texts
 from strategies import AB, formulas
 
 XY = Alphabet.from_string("xy")
@@ -93,14 +94,14 @@ def test_mode_enforcement():
 def test_known_identities_confirmed_by_oracle_then_solver():
     for lhs, rhs in KNOWN_IDENTITIES:
         assert oracle_equal_texts(lhs, rhs), (lhs, rhs)
-        alphabet = alphabet_of_texts(lhs, rhs)
+        alphabet = _identity_alphabet(lhs, rhs)
         assert check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is True
 
 
 def test_known_non_identities_confirmed_by_oracle_then_solver():
     for lhs, rhs in KNOWN_NON_IDENTITIES:
         assert not oracle_equal_texts(lhs, rhs), (lhs, rhs)
-        alphabet = alphabet_of_texts(lhs, rhs)
+        alphabet = _identity_alphabet(lhs, rhs)
         assert check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is False
 
 
