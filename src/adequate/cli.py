@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("formula")
     p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering")
 
-    p = sub.add_parser("prune", help="prune a tree (JSON or formula) to its minimal retract")
+    p = sub.add_parser(
+        "prune",
+        help="prune a tree (JSON or formula) to its minimal retract; mode flags apply to formulas only",
+    )
     p.add_argument("input")
     p.add_argument("--dot", metavar="PATH")
 
@@ -86,7 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("morph", help="test for a morphism between two trees/formulas")
+    p = sub.add_parser(
+        "morph",
+        help="test for a morphism between two trees/formulas; mode flags apply to formulas only",
+    )
     p.add_argument("source")
     p.add_argument("target")
 

@@ -4,7 +4,8 @@ A formula is a word over the generators plus the four symbols ``( ) + *``:
 a (possibly empty) sequence of factors, each factor either a bare generator
 or a parenthesised group followed by a postfix ``+`` or ``*``.  Bare groups
 without a trailing operator are rejected so that every abstract formula has
-exactly one rendering.
+exactly one rendering.  A parsed formula is kept as that rendering, its
+whitespace-free text, and the syntax nodes are built only when read.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Alphabet:
 
     @cached_property
     def _letters(self) -> dict[str, "Letter"]:
-        # One shared Letter per generator, so parsing allocates none.
+        # One shared Letter per generator, so built factors allocate none.
         return {ch: Letter(ch) for ch in self.letters}
 
     @cached_property
@@ -108,46 +109,68 @@ class Unary:
 Factor = Union[Letter, Unary]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Formula:
+    """Equal to another formula when both have the same alphabet and text.
+
+    A parsed formula holds only its whitespace-free text and one built from
+    ``factors`` only those; each derives the other once, on first read.
+    """
+
     factors: tuple[Factor, ...]
     alphabet: Alphabet
+
+    def __getattr__(self, name: str):
+        state = self.__dict__
+        if name == "factors" and "_text" in state:
+            value = _build_factors(state["_text"], self.alphabet)
+        elif name == "_text" and "factors" in state:
+            value = _render_factors(state["factors"])
+        else:
+            raise AttributeError(name)
+        state[name] = value
+        return value
+
+    def __eq__(self, other):
+        if type(other) is not Formula:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self._text))
 
 
 _OPS = {"+": UnaryOp.PLUS, "*": UnaryOp.STAR}
 
 
 def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
-    """Parse formula text; ``mode`` restricts the signature and emptiness.
+    """Check formula text; ``mode`` restricts the signature and emptiness.
 
     Grammar: ``Expr := Factor*``, ``Factor := letter | '(' Expr ')' ('+'|'*')``.
     Whitespace between tokens is ignored.  With no mode, both unary symbols
     are admitted and empty (sub)formulas are legal.
 
-    One pass over the characters.  A group closed by ``)`` is held until its
-    operator arrives; only whitespace may come in between.  Letters are the
-    alphabet's shared :class:`Letter` instances.
+    One pass over the characters that builds no syntax nodes: the result
+    keeps the whitespace-free text, which is its rendering, and builds
+    ``factors`` only when they are read.  A ``)`` waits for its operator;
+    only whitespace may come in between.
     """
     allowed = frozenset(UnaryOp) if mode is None else mode.allowed_ops()
     allow_empty = mode is None or not mode.semigroup
-    letters = alphabet._letters
-    top: list[Factor] = []
-    outer: list[tuple[list[Factor], int]] = []  # enclosing factor lists, "(" offsets
-    closed: list[Factor] | None = None  # a body whose ")" awaits its operator
-    closed_at = 0
+    known = alphabet._index
+    depth = 0
+    closed = -1  # the offset of a ")" that awaits its operator
     for i, ch in enumerate(text):
-        if closed is None:
-            letter = letters.get(ch)
-            if letter is not None:
-                top.append(letter)
-            elif ch == "(":
-                outer.append((top, i))
-                top = []
+        if closed < 0:
+            if ch in known:
+                continue
+            if ch == "(":
+                depth += 1
             elif ch == ")":
-                if not outer:
+                if not depth:
                     raise UnbalancedParenthesis(i)
-                closed = top
-                top, closed_at = outer.pop()
+                depth -= 1
+                closed = i
             elif ch.isspace():
                 continue
             elif ch in _OPS:
@@ -162,64 +185,81 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
                 raise BareGroup(i)
             if op not in allowed:
                 raise OpNotInSignature(i, f"{op.value!r} is not in the signature of this mode")
-            if not closed and not allow_empty:
-                raise EmptyNotAllowed(closed_at, "empty group in semigroup mode")
-            top.append(Unary(op, Formula(tuple(closed), alphabet)))
-            closed = None
-    n = len(text)
-    if closed is not None:
-        raise BareGroup(n)
-    if outer:
-        raise UnbalancedParenthesis(n)
-    if not top and not allow_empty:
+            if not allow_empty:  # empty if the last non-space before ")" is "("
+                j = closed - 1
+                while text[j].isspace():
+                    j -= 1
+                if text[j] == "(":
+                    raise EmptyNotAllowed(j, "empty group in semigroup mode")
+            closed = -1
+    if closed >= 0:
+        raise BareGroup(len(text))
+    if depth:
+        raise UnbalancedParenthesis(len(text))
+    text = "".join(text.split())
+    if not text and not allow_empty:
         raise EmptyNotAllowed(0, "empty formula in semigroup mode")
-    return Formula(tuple(top), alphabet)
+    formula = object.__new__(Formula)
+    formula.__dict__.update(_text=text, alphabet=alphabet)
+    return formula
 
 
-def render(formula: Formula) -> str:
-    """Emit the unique whitespace-free text of a formula; inverse of parse."""
+def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
+    # The syntax nodes of whitespace-free text that parse accepted.
+    letters = alphabet._letters
+    top: list[Factor] = []
+    outer: list[list[Factor]] = []
+    chars = iter(text)
+    for ch in chars:
+        if ch == "(":
+            outer.append(top)
+            top = []
+        elif ch == ")":
+            body = Formula(tuple(top), alphabet)
+            top = outer.pop()
+            top.append(Unary(_OPS[next(chars)], body))
+        else:
+            top.append(letters[ch])
+    return tuple(top)
+
+
+def _render_factors(factors: tuple[Factor, ...]) -> str:
     out: list[str] = []
-    stack: list[Factor | str] = list(reversed(formula.factors))
+    stack: list[Factor | str] = list(reversed(factors))
     while stack:
         item = stack.pop()
         if type(item) is str:
             out.append(item)
-        elif type(item) is Letter:
-            out.append(item.letter)
-        else:
+        elif type(item) is Unary:
             out.append("(")
             stack.append(")" + item.op.value)
             stack.extend(reversed(item.body.factors))
+        elif len(item.letter) != 1 or item.letter in RESERVED:
+            # No alphabet holds it, so no text could stand for it.
+            raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
+        else:
+            out.append(item.letter)
     return "".join(out)
+
+
+def render(formula: Formula) -> str:
+    """The unique whitespace-free text of a formula; inverse of parse."""
+    return formula._text
 
 
 def occurrence_count(formula: Formula) -> int:
     """Number of generator occurrences in the formula."""
-    count = 0
-    stack: list[Factor] = list(formula.factors)
-    while stack:
-        item = stack.pop()
-        if type(item) is Letter:
-            count += 1
-        else:
-            stack.extend(item.body.factors)
-    return count
+    # Every group spends three characters: "(", ")" and its operator.
+    text = formula._text
+    return len(text) - 3 * text.count("(")
+
+
+_NO_RESERVED = str.maketrans("", "", RESERVED)
 
 
 def occurring_letters(formula: Formula) -> tuple[str, ...]:
     """Distinct generators of the formula, in first-occurrence order."""
-    seen: set[str] = set()
-    out: list[str] = []
-    stack: list[Factor] = list(reversed(formula.factors))
-    while stack:
-        item = stack.pop()
-        if type(item) is Letter:
-            if item.letter not in seen:
-                seen.add(item.letter)
-                out.append(item.letter)
-        else:
-            stack.extend(reversed(item.body.factors))
-    return tuple(out)
+    return tuple(dict.fromkeys(formula._text.translate(_NO_RESERVED)))
 
 
 def concat(left: Formula, right: Formula) -> Formula:

@@ -13,7 +13,7 @@ from enum import Enum
 
 from .canonical import canonical_formula
 from .errors import AlphabetMismatch, EmptyNotAllowed, OpNotInSignature
-from .formula import RESERVED, Alphabet, Formula, Unary, UnaryOp, parse, render
+from .formula import RESERVED, Alphabet, Formula, UnaryOp, parse, render
 from .homomorphism import exists_morphism
 from .pruning import prune
 from .tree import evaluate
@@ -52,25 +52,21 @@ DEFAULT_MODE = Mode()
 def ensure_admissible(formula: Formula, mode: Mode) -> None:
     """Raise unless the formula fits the mode's signature and emptiness rules.
 
-    A monoid mode that admits both unary operations admits every formula, so
-    there the walk is skipped.
+    Reads the rendered text.  An empty group is ``"()"`` there, and a
+    group's operator follows its body, so the rightmost offending group is
+    the one a walk of the syntax tree (later factors first, each group
+    before its body) reports, and its operator is checked first.
     """
-    allowed = mode.allowed_ops()
-    if not mode.semigroup and len(allowed) == len(UnaryOp):
-        return
-    if mode.semigroup and not formula.factors:
+    text = formula._text
+    if mode.semigroup and not text:
         raise EmptyNotAllowed(detail="empty formula in semigroup mode")
-    stack = list(formula.factors)
-    while stack:
-        item = stack.pop()
-        if type(item) is Unary:
-            if item.op not in allowed:
-                raise OpNotInSignature(
-                    detail=f"{item.op.value!r} is not in the signature of this mode"
-                )
-            if mode.semigroup and not item.body.factors:
-                raise EmptyNotAllowed(detail="empty group in semigroup mode")
-            stack.extend(item.body.factors)
+    empty_at = text.rfind("()") if mode.semigroup else -1
+    allowed = mode.allowed_ops()
+    for op in UnaryOp:
+        if op not in allowed and text.rfind(op.value) > empty_at:
+            raise OpNotInSignature(detail=f"{op.value!r} is not in the signature of this mode")
+    if empty_at >= 0:
+        raise EmptyNotAllowed(detail="empty group in semigroup mode")
 
 
 def equal(f1: Formula, f2: Formula, mode: Mode = DEFAULT_MODE) -> bool:

@@ -13,10 +13,10 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from operator import or_
-from typing import Iterable, Iterator, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
-from .formula import Alphabet, Formula, Letter, UnaryOp
+from .formula import Alphabet, Formula
 
 
 class Edge(NamedTuple):
@@ -224,17 +224,17 @@ def unpruned_star(x: SigmaTree) -> SigmaTree:
 def evaluate(formula: Formula) -> SigmaTree:
     """Evaluate a formula to its unpruned tree.
 
-    One depth-first pass over the syntax tree with a vertex cursor: a letter
-    adds an edge from the cursor to a new vertex, which becomes the cursor.
-    A ``+`` group starts at the outer cursor; a ``*`` group starts at a new
-    vertex, and on closing its end is glued onto the outer cursor.  Either
-    way the outer cursor is unchanged afterwards.  Vertex ids are the
-    creation ranks of the vertices that were not glued, which is the
-    numbering that folding :func:`unpruned_product`, :func:`unpruned_plus`
-    and :func:`unpruned_star` over the syntax tree gives.  The result has
-    exactly one edge per generator occurrence; runs in linear time in the
-    formula length.  Letters are checked against the alphabet by dict
-    membership; an unknown one raises ``UnknownSymbol``.
+    One pass over the formula's text with a vertex cursor: a letter adds an
+    edge from the cursor to a new vertex, which becomes the cursor.  A ``(``
+    starts its group at a new vertex.  On closing, a ``+`` group's start and
+    a ``*`` group's end are glued onto the outer cursor, which is the cursor
+    again afterwards.  Vertex ids are the creation ranks of the vertices that
+    were not glued, which is the numbering that folding
+    :func:`unpruned_product`, :func:`unpruned_plus` and :func:`unpruned_star`
+    over the syntax tree gives.  The result has exactly one edge per
+    generator occurrence; runs in linear time in the formula length.  Letters
+    are checked against the alphabet by dict membership; an unknown one
+    raises ``UnknownSymbol``.
     """
     alphabet = formula.alphabet
     known = alphabet._index
@@ -242,32 +242,27 @@ def evaluate(formula: Formula) -> SigmaTree:
     # glue[v] is the earlier vertex that v was glued onto, or -1.
     glue = [-1]
     cursor = 0
-    groups: list[tuple[int, UnaryOp, Iterator]] = []
-    items: Iterator = iter(formula.factors)
-    while True:
-        for item in items:
-            if type(item) is Letter:
-                label = item.letter
-                if label not in known:
-                    alphabet.index(label)  # raises UnknownSymbol
-                v = len(glue)
-                edges.append((label, cursor, v))
-                cursor = v
-                glue.append(-1)
-            else:
-                groups.append((cursor, item.op, items))
-                if item.op is UnaryOp.STAR:
-                    cursor = len(glue)
-                    glue.append(-1)
-                items = iter(item.body.factors)
-                break
-        else:
-            if not groups:
-                break
-            outer, op, items = groups.pop()
-            if op is UnaryOp.STAR:
-                glue[cursor] = outer
+    groups: list[tuple[int, int]] = []  # per open group: outer cursor, start
+    for ch in formula._text:
+        if ch in known:
+            v = len(glue)
+            edges.append((ch, cursor, v))
+            cursor = v
+            glue.append(-1)
+        elif ch == "(":
+            v = len(glue)
+            groups.append((cursor, v))
+            cursor = v
+            glue.append(-1)
+        elif ch == "+":
+            cursor, v = groups.pop()
+            glue[v] = cursor
+        elif ch == "*":
+            outer = groups.pop()[0]
+            glue[cursor] = outer
             cursor = outer
+        elif ch != ")":
+            alphabet.index(ch)  # raises UnknownSymbol
     # A glue target is always created before the vertex glued onto it, so
     # one forward pass settles chains of glues.
     ids = [0] * len(glue)

@@ -2,16 +2,16 @@
 
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
-descendant sets come from explicit path enumeration.  The parser, evaluator,
-traversal and propagation pass that the library replaced with faster code
-are kept here as differential references; the faster code must give
-identical results.
+descendant sets come from explicit path enumeration.  The parser, the
+evaluators, the admissibility walk, the traversal and the propagation pass
+that the library replaced with faster code are kept here as differential
+references; the faster code must give identical results.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Optional
+from typing import Iterator, Optional
 
 from adequate import (
     Alphabet,
@@ -20,6 +20,7 @@ from adequate import (
     EmptyNotAllowed,
     Formula,
     Letter,
+    Mode,
     OpNotInSignature,
     SigmaTree,
     SignedLabel,
@@ -138,6 +139,77 @@ def evaluate_by_products(formula: Formula) -> SigmaTree:
             return tree
         tree = unpruned_plus(tree) if op is UnaryOp.PLUS else unpruned_star(tree)
         acc[-1] = unpruned_product(acc[-1], tree)
+
+
+def evaluate_by_nodes(formula: Formula) -> SigmaTree:
+    """Reference evaluator: the linear cursor/glue pass over the syntax
+    nodes (a ``*`` group starts at a new vertex, a ``+`` group at the outer
+    cursor) that the text walk replaced."""
+    alphabet = formula.alphabet
+    known = alphabet._index
+    edges: list[tuple[str, int, int]] = []
+    glue = [-1]
+    cursor = 0
+    groups: list[tuple[int, UnaryOp, Iterator]] = []
+    items: Iterator = iter(formula.factors)
+    while True:
+        for item in items:
+            if type(item) is Letter:
+                label = item.letter
+                if label not in known:
+                    alphabet.index(label)  # raises UnknownSymbol
+                v = len(glue)
+                edges.append((label, cursor, v))
+                cursor = v
+                glue.append(-1)
+            else:
+                groups.append((cursor, item.op, items))
+                if item.op is UnaryOp.STAR:
+                    cursor = len(glue)
+                    glue.append(-1)
+                items = iter(item.body.factors)
+                break
+        else:
+            if not groups:
+                break
+            outer, op, items = groups.pop()
+            if op is UnaryOp.STAR:
+                glue[cursor] = outer
+            cursor = outer
+    ids = [0] * len(glue)
+    count = 0
+    for v, target in enumerate(glue):
+        if target < 0:
+            ids[v] = count
+            count += 1
+        else:
+            ids[v] = ids[target]
+    return SigmaTree(
+        alphabet,
+        count,
+        0,
+        ids[cursor],
+        tuple((label, ids[s], ids[t]) for label, s, t in edges),
+    )
+
+
+def ensure_admissible_by_walk(formula: Formula, mode: Mode) -> None:
+    """Reference admissibility check: a walk of the syntax nodes that the
+    text check replaced."""
+    allowed = mode.allowed_ops()
+    if mode.semigroup and not formula.factors:
+        raise EmptyNotAllowed(detail="empty formula in semigroup mode")
+    stack = list(formula.factors)
+    while stack:
+        item = stack.pop()
+        if type(item) is Unary:
+            if item.op not in allowed:
+                raise OpNotInSignature(
+                    detail=f"{item.op.value!r} is not in the signature of this mode"
+                )
+            if mode.semigroup and not item.body.factors:
+                raise EmptyNotAllowed(detail="empty group in semigroup mode")
+            stack.extend(item.body.factors)
 
 
 def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:

@@ -6,10 +6,18 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from adequate import Alphabet, Formula, Letter, Unary, UnaryOp
+from adequate import Alphabet, Formula, Letter, Mode, Sidedness, Unary, UnaryOp, canonical_word
 from adequate.generate import random_tree
 
 AB = Alphabet.from_string("ab")
+
+# Every Mode: 12 sidedness, semigroup and swap combinations.
+MODES = tuple(
+    Mode(sidedness, semigroup, swap)
+    for sidedness in Sidedness
+    for semigroup in (False, True)
+    for swap in (False, True)
+)
 
 
 def formulas(alphabet: Alphabet = AB, max_leaves: int = 12):
@@ -34,3 +42,16 @@ def trees(alphabet: Alphabet = AB, max_edges: int = 10):
         st.integers(0, 2**48 - 1),
         st.integers(0, max_edges),
     )
+
+
+def random_texts() -> list[str]:
+    """3000 short texts over ``ab()+* c\\t``: valid formulas and every error."""
+    rng = Random(5150)
+    symbols = "ab()+* c\t"
+    return ["".join(rng.choice(symbols) for _ in range(rng.randrange(16))) for _ in range(3000)]
+
+
+def large_words(seed: int = 5151) -> list[str]:
+    """Canonical words of four random trees of 800 edges over ``ab``."""
+    rng = Random(seed)
+    return [canonical_word(random_tree(rng, 800, AB)) for _ in range(4)]

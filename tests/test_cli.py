@@ -87,6 +87,19 @@ def test_morph(capsys):
     assert json.loads(out) == {"exists": False, "map": None}
 
 
+def test_json_operands_ignore_the_mode_flags(capsys):
+    tree = to_json(random_tree(Random(77), 12, AB))
+    other = to_json(random_tree(Random(78), 5, AB))
+    flags = ("--mode", "left", "--semigroup")
+    for argv in (("prune", tree), ("morph", other, tree), ("morph", tree, tree)):
+        plain = run(capsys, *argv)
+        assert plain[0] in (0, 1) and plain[1]
+        assert run(capsys, *flags, *argv) == plain
+        assert run(capsys, *flags, "--swap-sided-ops", *argv) == plain
+    # The same flags do check a formula operand.
+    assert run(capsys, *flags, "prune", "(a)+")[0] == 2
+
+
 def test_check_identity(capsys):
     assert run(capsys, "check-identity", "(xy)+", "(x(y)+)+")[0] == 0
     assert run(capsys, "check-identity", "x", "y")[0] == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
-from random import Random
+import pickle
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from adequate import (
     DanglingUnary,
     EmptyNotAllowed,
     Formula,
+    FormulaError,
     Letter,
     Mode,
     OpNotInSignature,
@@ -21,14 +23,15 @@ from adequate import (
     UnknownSymbol,
     canonical_word,
     concat,
+    evaluate,
     occurrence_count,
     occurring_letters,
     parse,
     render,
 )
-from adequate.generate import enumerate_trees, random_tree
+from adequate.generate import enumerate_trees
 from oracles import parse_by_index
-from strategies import AB, formulas
+from strategies import AB, MODES, formulas, large_words, random_texts
 
 SEMIGROUP = Mode(semigroup=True)
 LEFT = Mode(Sidedness.LEFT)
@@ -163,12 +166,7 @@ def test_alphabet_index(ab):
 
 
 # The mode None plus every Mode: 13 parser configurations.
-ALL_MODES = (None,) + tuple(
-    Mode(sidedness, semigroup, swap)
-    for sidedness in Sidedness
-    for semigroup in (False, True)
-    for swap in (False, True)
-)
+ALL_MODES = (None,) + MODES
 
 
 def _outcome(parser, text, mode):
@@ -179,11 +177,8 @@ def _outcome(parser, text, mode):
 
 
 def test_parse_matches_reference_on_random_texts():
-    rng = Random(5150)
-    symbols = "ab()+* c\t"
     raised = 0
-    for _ in range(3000):
-        text = "".join(rng.choice(symbols) for _ in range(rng.randrange(16)))
+    for text in random_texts():
         for mode in ALL_MODES:
             got = _outcome(parse, text, mode)
             assert got == _outcome(parse_by_index, text, mode), (text, mode)
@@ -199,9 +194,7 @@ def test_parse_matches_reference_on_corpus_words():
 
 
 def test_parse_matches_reference_on_large_words():
-    rng = Random(5151)
-    for _ in range(4):
-        text = canonical_word(random_tree(rng, 800, AB))
+    for text in large_words():
         spaced = " ".join(text)
         for mode in ALL_MODES:
             assert _outcome(parse, text, mode) == _outcome(parse_by_index, text, mode)
@@ -214,3 +207,91 @@ def test_parse_shares_letters(ab):
     f = parse("ab(a)+", ab)
     assert f.factors[0] is f.factors[2].body.factors[0]
     assert f.factors[0] == Letter("a")
+
+
+def _letters(formula):
+    """The formula's Letter nodes in text order."""
+    stack = list(reversed(formula.factors))
+    while stack:
+        item = stack.pop()
+        if type(item) is Letter:
+            yield item
+        else:
+            stack.extend(reversed(item.body.factors))
+
+
+def _pinned_texts():
+    texts = []
+    for text in random_texts():
+        try:
+            parse(text, AB)
+        except FormulaError:
+            continue
+        texts.append(text)
+    for text in large_words():
+        texts += [text, " ".join(text)]
+    return texts
+
+
+def test_public_formula_api_is_pinned():
+    abc = Alphabet.from_string("abc")
+    texts = _pinned_texts()
+    assert len(texts) > 300
+    for text in texts:
+        f, twin = parse(text, AB), parse_by_index(text, AB)
+        assert [field.name for field in fields(f)] == ["factors", "alphabet"]
+        assert repr(f) == repr(twin)
+        assert f == twin and twin == f and hash(f) == hash(twin)
+        assert f != parse(text, abc) and f != Formula(twin.factors, abc)
+        assert f.factors == twin.factors
+        letters = list(_letters(f))
+        assert all(letter is AB._letters[letter.letter] for letter in letters)
+        assert occurrence_count(f) == occurrence_count(twin) == len(letters)
+        assert occurring_letters(f) == tuple(dict.fromkeys(x.letter for x in letters))
+        again = pickle.loads(pickle.dumps(f))
+        assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
+        assert replace(f) == f and replace(f, factors=twin.factors) == f
+        assert render(replace(f)) == render(f)
+
+
+def test_formulas_differ_when_their_texts_differ():
+    texts = sorted({render(parse(text, AB)) for text in _pinned_texts()})
+    formulas = [parse(text, AB) for text in texts]
+    assert len(set(formulas)) == len(texts)
+    for f, g in zip(formulas, formulas[1:]):
+        assert f != g
+
+
+def test_formulas_compare_by_alphabet_and_text(ab):
+    abc = Alphabet.from_string("abc")
+    body = Formula((Letter("a"),), abc)
+    mixed = Formula((Unary(UnaryOp.PLUS, body),), ab)
+    assert mixed == parse("(a)+", ab) and hash(mixed) == hash(parse("(a)+", ab))
+    assert mixed != parse("(a)+", abc)
+    assert Formula([Letter("a")], ab) == parse("a", ab)
+
+
+def test_letters_no_text_can_hold_are_rejected(ab):
+    for bad in ("ab", "", "(", ")", "+", "*"):
+        f = Formula((Letter("a"), Unary(UnaryOp.STAR, Formula((Letter(bad),), ab))), ab)
+        with pytest.raises(UnknownSymbol) as info:
+            render(f)
+        assert str(info.value) == f"UnknownSymbol: {bad!r} is not a generator"
+    assert render(Formula((Letter("z"),), ab)) == "z"
+
+
+def test_parsed_formulas_build_factors_once(ab):
+    f = parse(" a ( b ( a ) * ) + ", ab)
+    assert "factors" not in vars(f) and render(f) == "a(b(a)*)+"
+    assert f.factors is f.factors
+    assert render(f.factors[1].body) == "b(a)*"
+
+
+def test_deeply_nested_formulas_render_and_evaluate(ab):
+    depth = 5000
+    text = "(" * depth + "a" + ")+" * depth
+    f = parse(text, ab)
+    node_built = Formula(f.factors, ab)
+    assert render(node_built) == text and node_built == f
+    assert render(f.factors[0].body) == text[1:-2]
+    assert len(evaluate(node_built).edges) == 1

@@ -10,6 +10,7 @@ from adequate import (
     UnaryOp,
     AlphabetMismatch,
     EmptyNotAllowed,
+    FormulaError,
     KNOWN_IDENTITIES,
     KNOWN_NON_IDENTITIES,
     Mode,
@@ -27,8 +28,8 @@ from adequate import (
 from adequate import solver
 from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
-from oracles import oracle_equal_texts
-from strategies import AB, formulas
+from oracles import ensure_admissible_by_walk, oracle_equal_texts
+from strategies import AB, MODES, formulas, random_texts
 
 XY = Alphabet.from_string("xy")
 LEFT = Mode(Sidedness.LEFT)
@@ -203,3 +204,38 @@ def test_ensure_admissible_skips_only_modes_that_admit_everything():
     for mode in (LEFT, Mode(Sidedness.RIGHT), Mode(semigroup=True)):
         with pytest.raises((OpNotInSignature, EmptyNotAllowed)):
             solver.ensure_admissible(concat(f, parse("()*", AB)), mode)
+
+
+def _admissibility(check, formula, mode):
+    try:
+        check(formula, mode)
+    except Exception as exc:  # the type and message must both agree
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_text_check_matches_walk(f):
+    for mode in MODES:
+        got = _admissibility(solver.ensure_admissible, f, mode)
+        assert got == _admissibility(ensure_admissible_by_walk, f, mode), (render(f), mode)
+
+
+def test_ensure_admissible_matches_walk_on_random_texts():
+    outcomes = set()
+    for text in random_texts():
+        try:
+            f = parse(text, AB)
+        except FormulaError:
+            continue
+        _assert_text_check_matches_walk(f)
+        outcomes.update(_admissibility(solver.ensure_admissible, f, m) for m in MODES)
+    assert {None, (EmptyNotAllowed, "EmptyNotAllowed: empty group in semigroup mode")} < outcomes
+    assert (OpNotInSignature, "OpNotInSignature: '*' is not in the signature of this mode") in outcomes
+
+
+def test_ensure_admissible_matches_walk_on_random_formulas():
+    rng = Random(4141)
+    for _ in range(1500):
+        f = random_formula(rng, AB, max_len=30, mode=Mode(semigroup=rng.random() < 0.5))
+        _assert_text_check_matches_walk(f)
+        _assert_text_check_matches_walk(concat(f, parse(rng.choice(("()+", "()*", "")), AB)))

@@ -28,6 +28,7 @@ from adequate import (
     from_json,
     occurrence_count,
     parse,
+    render,
     to_dot,
     to_json,
     traversal,
@@ -39,8 +40,14 @@ from adequate import (
     validate,
 )
 from adequate.generate import enumerate_trees, random_formula, random_relabelling, random_tree
-from oracles import descendants_by_paths, evaluate_by_products, traversal_by_iterators
-from strategies import formulas, trees
+from oracles import (
+    descendants_by_paths,
+    evaluate_by_nodes,
+    evaluate_by_products,
+    parse_by_index,
+    traversal_by_iterators,
+)
+from strategies import formulas, large_words, trees
 
 
 def shape(tree):
@@ -139,6 +146,37 @@ def test_evaluate_matches_products_on_large_formulas(ab):
         f = parse(canonical_word(random_tree(rng, 800, ab)), ab)
         assert occurrence_count(f) >= 800
         assert to_json(evaluate(f)) == to_json(evaluate_by_products(f))
+
+
+def _assert_text_walk_matches_node_walks(f):
+    got = to_json(evaluate(f))
+    assert got == to_json(evaluate_by_nodes(f)) == to_json(evaluate_by_products(f)), render(f)
+
+
+def test_evaluate_matches_node_walks_on_random_formulas(ab):
+    rng = Random(4244)
+    for sidedness in Sidedness:
+        for semigroup in (False, True):
+            mode = Mode(sidedness, semigroup)
+            for _ in range(500):
+                f = random_formula(rng, ab, max_len=60, mode=mode)
+                _assert_text_walk_matches_node_walks(f)
+                _assert_text_walk_matches_node_walks(parse(render(f), ab, mode))
+
+
+def test_evaluate_matches_node_walks_on_corpus_words(ab):
+    for t in enumerate_trees(4, ab):
+        text = canonical_word(t)
+        _assert_text_walk_matches_node_walks(parse(text, ab))
+        _assert_text_walk_matches_node_walks(parse_by_index(text, ab))
+
+
+def test_evaluate_matches_node_walks_on_large_words(ab):
+    for text in large_words(4245):
+        spaced = " ".join(text)
+        for f in (parse(text, ab), parse(spaced, ab), parse_by_index(spaced, ab)):
+            assert occurrence_count(f) >= 800
+            _assert_text_walk_matches_node_walks(f)
 
 
 def test_evaluate_rejects_unknown_letter(ab):
