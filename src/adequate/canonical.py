@@ -34,15 +34,16 @@ def canonical_word(tree: SigmaTree) -> str:
     for v in trunk_info.vertices:
         visited[v] = 1
     # Breadth-first away from the trunk; children recorded per vertex.
-    children: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    children: list[list[int]] = [[] for _ in range(n)]
     queue = deque(trunk_info.vertices)
     offtrunk_order: list[int] = []
     while queue:
         v = queue.popleft()
-        for letter_index, rev, w in adjacency[v]:
+        for e in adjacency[v]:
+            w = e % n
             if not visited[w]:
                 visited[w] = 1
-                children[v].append((letter_index, rev, w))
+                children[v].append(e)
                 offtrunk_order.append(w)
                 queue.append(w)
 
@@ -50,11 +51,12 @@ def canonical_word(tree: SigmaTree) -> str:
 
     def assemble(v: int) -> str:
         taus = []
-        for letter_index, rev, w in children[v]:
-            if rev:
-                taus.append("(" + hanging[w] + letters[letter_index] + ")*")
+        for e in children[v]:
+            s, w = divmod(e, n)
+            if s & 1:
+                taus.append("(" + hanging[w] + letters[s >> 1] + ")*")
             else:
-                taus.append("(" + letters[letter_index] + hanging[w] + ")+")
+                taus.append("(" + letters[s >> 1] + hanging[w] + ")+")
         if len(taus) > 1:
             taus.sort(key=omega_key)
         return "".join(taus)

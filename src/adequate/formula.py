@@ -199,6 +199,10 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     text = "".join(text.split())
     if not text and not allow_empty:
         raise EmptyNotAllowed(0, "empty formula in semigroup mode")
+    return _from_text(text, alphabet)
+
+
+def _from_text(text: str, alphabet: Alphabet) -> Formula:
     formula = object.__new__(Formula)
     formula.__dict__.update(_text=text, alphabet=alphabet)
     return formula
@@ -265,4 +269,4 @@ def occurring_letters(formula: Formula) -> tuple[str, ...]:
 def concat(left: Formula, right: Formula) -> Formula:
     if left.alphabet != right.alphabet:
         raise AlphabetMismatch("formulas are over different alphabets")
-    return Formula(left.factors + right.factors, left.alphabet)
+    return _from_text(left._text + right._text, left.alphabet)

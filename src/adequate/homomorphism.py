@@ -4,7 +4,9 @@ The decision procedure is constraint propagation: every vertex of the source
 tree keeps a set of candidate images in the target, the sets are filtered
 once along each source edge in reverse depth-first order, and a morphism
 exists exactly when the start vertex keeps a candidate.  Candidate sets are
-bitmasks, giving O(nm) time overall for trees on n and m vertices.
+bitmasks, giving O(nm) time overall for trees on n and m vertices.  The pass
+is one loop over the source's traversal positions, and signed labels are
+the integers ``2 * letter index + reverse`` that index the target's tables.
 
 The image of a child's candidate set along a signed label depends only on
 that label and that set.  Random trees have few distinct fringe subtrees, so
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import AlphabetMismatch
-from .tree import SignedLabel, SigmaTree
+from .tree import SigmaTree
 
 
 @dataclass(frozen=True)
@@ -74,61 +76,55 @@ def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
 def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[int]:
     """Run the filtering pass; returns final masks by traversal position.
 
-    With ``_early_exit`` the pass stops at the first empty mask and sets
-    ``masks[0]`` to 0: every ancestor's mask takes in the image of an empty
-    set, so the start's mask would end empty anyway.  Whenever ``masks[0]``
-    is not 0 the masks are those of the full pass.
+    One loop over source positions p = n-1 .. 1 ANDs into ``masks[up[p]]``
+    the image of ``masks[p]`` along ``label[p]``.  Every descendant of p
+    comes later in preorder, so ``masks[p]`` is final when p is reached.
+    With ``_early_exit`` the pass stops at the first empty mask reached and
+    sets ``masks[0]`` to 0, as every ancestor would end empty; whenever
+    ``masks[0]`` is not 0 the masks are those of the full pass.
 
-    Targets of at most 64 vertices test bits on machine-size ints directly
-    and keep no memo.  Counting each index build, this edge scan is the
-    faster pass on the targets of small queries: 10-12 us per call against
-    22-27 us for the walk below on targets of at most 4 edges, and about
-    level up to 30 edges; the walk wins 1.5-2x only towards 63 edges.  Wider
-    targets keep one memo per signed label, keyed by the child mask ANDed
-    with the label's support, and compute a miss as the union of the
+    Targets of at most 64 vertices scan the label's target edges with bit
+    tests on machine-size ints and keep no memo.  Counting each index build,
+    the scan is 2x faster than the walk below on targets of at most 4 edges,
+    level at about 16 and 2.5-3x slower towards 63 (in-process, random
+    ``ab`` trees); the cut stays at 64, where ``cli-small`` traffic has it.
+    Wider targets keep one memo per signed label, keyed by the child mask
+    ANDed with the label's support, and compute a miss as the union of the
     target's preimage masks over the set bits of that key.  A preimage is 0
     outside the support, so the masking keeps every image as it was; the
-    memo starts with the image of the whole support, which is the reverse
-    label's support.  On ``eq-large`` seed 701 (60 queries, both directions)
-    this cut the bits walked by misses from 1,178,515 to 306,565 and the
-    misses from 24,578 to 23,020; the 378 misses on a full mask are gone.
+    memo starts with the image of the whole support, the reverse label's
+    support ``supports[s ^ 1]``.  On ``eq-large`` seed 701 (60 queries, both
+    directions) this cut the bits walked by misses from 1,178,515 to 306,565
+    and the misses from 24,578 to 23,020.
     """
     tr = t1._traversal
+    up, label = tr.up, tr.label
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
     masks[0] &= 1 << t2.start
     masks[tr.position[t1.end]] &= 1 << t2.end
-    children = tr.children
-    if t2.vertex_count <= 64:
-        # Small targets: direct bit tests on machine-size ints.
+    narrow = t2.vertex_count <= 64
+    if narrow:
         groups = t2._edge_groups
-        for p in range(t1.vertex_count - 1, -1, -1):
-            bp = masks[p]
-            for cp, slab in children[p]:
-                bc = masks[cp]
-                bstar = 0
-                for x, y in groups.get(slab, ()):
-                    if (bc >> y) & 1:
-                        bstar |= 1 << x
-                bp &= bstar
-            masks[p] = bp
-            if not bp and _early_exit:
-                masks[0] = 0
-                return masks
-        return masks
-    preimages = t2._preimages
-    supports = t2._supports
-    memos = {
-        slab: {support: supports[SignedLabel(slab.letter, not slab.reverse)]}
-        for slab, support in supports.items()
-    }
-    for p in range(t1.vertex_count - 1, -1, -1):
-        bp = masks[p]
-        for cp, slab in children[p]:
-            key = masks[cp] & supports[slab]
-            memo = memos[slab]
+    else:
+        preimages, supports = t2._preimages, t2._supports
+        memos = [{support: supports[s ^ 1]} for s, support in enumerate(supports)]
+    for p in range(t1.vertex_count - 1, 0, -1):
+        child = masks[p]
+        if not child and _early_exit:
+            masks[0] = 0
+            return masks
+        s = label[p]
+        if narrow:
+            image = 0
+            for x, y in groups[s]:
+                if (child >> y) & 1:
+                    image |= 1 << x
+        else:
+            key = child & supports[s]
+            memo = memos[s]
             image = memo.get(key)
             if image is None:
-                back = preimages[slab]
+                back = preimages[s]
                 image = 0
                 rest = key
                 while rest:
@@ -136,11 +132,7 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
                     image |= back[low.bit_length() - 1]
                     rest ^= low
                 memo[key] = image
-            bp &= image
-        masks[p] = bp
-        if not bp and _early_exit:
-            masks[0] = 0
-            return masks
+        masks[up[p]] &= image
     return masks
 
 
@@ -171,23 +163,22 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
     if masks[0] == 0:
         return None
     tr = t1._traversal
+    order, up, label = tr.order, tr.up, tr.label
     groups = t2._edge_groups
     mapping = [-1] * t1.vertex_count
     first = masks[0]
     mapping[t1.start] = (first & -first).bit_length() - 1
     for p in range(1, t1.vertex_count):
-        v = tr.order[p]
-        parent_vertex, slab = tr.parent[v]
-        src = mapping[parent_vertex]
+        src = mapping[order[up[p]]]
         mask = masks[p]
         best = -1
-        for x, y in groups.get(slab, ()):
+        for x, y in groups[label[p]]:
             if x == src and (mask >> y) & 1 and (best < 0 or y < best):
                 best = y
         # The propagation pass guarantees a supported candidate here.
         if best < 0:
             raise RuntimeError(f"no supported candidate at traversal position {p}")
-        mapping[v] = best
+        mapping[order[p]] = best
     return VertexMorphism(tuple(mapping))
 
 
@@ -200,7 +191,7 @@ def is_morphism(t1: SigmaTree, t2: SigmaTree, mapping: tuple[int, ...]) -> bool:
         return False
     if mapping[t1.start] != t2.start or mapping[t1.end] != t2.end:
         return False
-    edge_set = t2._edge_set
+    edge_set = frozenset(t2.edges)
     return all((l, mapping[s], mapping[t]) in edge_set for l, s, t in t1.edges)
 
 
@@ -218,7 +209,7 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
     _check_alphabets(t1, t2)
     tr = t1._traversal
     n = t1.vertex_count
-    order, parent = tr.order, tr.parent
+    order, up, label = tr.order, tr.up, tr.label
     groups = t2._edge_groups
     end1, end2 = t1.end, t2.end
     mapping = [-1] * n
@@ -228,9 +219,8 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
             yield tuple(mapping)
             return
         v = order[k]
-        parent_vertex, slab = parent[v]
-        src = mapping[parent_vertex]
-        for x, y in groups.get(slab, ()):
+        src = mapping[order[up[k]]]
+        for x, y in groups[label[k]]:
             if x != src:
                 continue
             if v == end1 and y != end2:

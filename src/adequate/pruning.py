@@ -47,7 +47,7 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
     tr = tree._traversal
     masks = _propagate(tree, tree)
     adjacency = tree._adjacency
-    position, order, span = tr.position, tr.order, tr.span
+    position, order, size = tr.position, tr.order, tr.size
     alive = bytearray([1]) * n
     for p in range(n):
         w = order[p]
@@ -57,11 +57,11 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
         count = len(entries)
         i = 0
         while i < count:
-            letter_index, rev, _ = entries[i]
+            s = entries[i] // n
             members = []
             j = i
-            while j < count and entries[j][0] == letter_index and entries[j][1] == rev:
-                u = entries[j][2]
+            while j < count and entries[j] // n == s:
+                u = entries[j] % n
                 if alive[u]:
                     members.append(u)
                 j += 1
@@ -76,8 +76,8 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
             for u in later:
                 if kmask & masks[position[u]] != 1 << u:
                     kmask &= ~(1 << u)
-                    lo, hi = span[u]
-                    for q in range(lo, hi):
+                    lo = position[u]
+                    for q in range(lo, lo + size[lo]):
                         alive[order[q]] = 0
     return frozenset(v for v in range(n) if alive[v])
 

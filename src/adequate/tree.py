@@ -29,8 +29,8 @@ class SignedLabel(NamedTuple):
     """A label read with a direction: ``reverse`` means against the arrow.
 
     An edge "from u to v labelled (a, reverse)" is an actual a-labelled edge
-    from v to u.  Bundling label and direction lets both algorithms match
-    edges with a single key.
+    from v to u.  The public :func:`traversal` view names labels this way;
+    internally a signed label is the integer ``2 * letter index + reverse``.
     """
 
     letter: str
@@ -46,12 +46,13 @@ class Trunk(NamedTuple):
 class TraversalOrder:
     """Deterministic depth-first numbering of a tree, rooted at the start vertex.
 
-    ``order[p]`` is the vertex at position ``p`` (``order[0]`` is the start),
-    ``position`` is its inverse.  ``parent`` maps each non-root vertex to its
-    DFS parent and the signed label read from the parent towards the child.
-    ``children`` lists, per position, the child positions with those labels.
-    ``span`` gives per vertex the half-open position range of its subtree,
-    i.e. its descendants.
+    The public view that :func:`traversal` builds.  ``order[p]`` is the
+    vertex at position ``p`` (``order[0]`` is the start), ``position`` is
+    its inverse.  ``parent`` maps each non-root vertex to its DFS parent and
+    the signed label read from the parent towards the child.  ``children``
+    lists, per position, the child positions with those labels.  ``span``
+    gives per vertex the half-open position range of its subtree, i.e. its
+    descendants.
     """
 
     order: tuple[int, ...]
@@ -61,6 +62,16 @@ class TraversalOrder:
     span: tuple[tuple[int, int], ...]
 
 
+class _Walk(NamedTuple):
+    # order and position as in TraversalOrder; per position, the parent's
+    # position, the signed label in (both -1 at the root), the subtree size.
+    order: list[int]
+    position: list[int]
+    up: list[int]
+    label: list[int]
+    size: list[int]
+
+
 @dataclass(frozen=True)
 class SigmaTree:
     """A birooted labelled tree over a fixed alphabet.
@@ -68,79 +79,72 @@ class SigmaTree:
     Invariants (enforced by :func:`validate`, preserved by all operations):
     exactly ``vertex_count - 1`` edges forming a connected undirected tree on
     vertices ``0..vertex_count-1``, and a directed path from start to end.
-    Instances are immutable; derived structures are cached on first use.
+    ``edges`` holds ``(label, source, target)`` tuples as given.  Instances
+    are immutable; derived structures are cached on first use, keyed by the
+    signed label ``s = 2 * letter index + reverse`` (its reverse is s ^ 1).
     """
 
     alphabet: Alphabet
     vertex_count: int
     start: int
     end: int
-    edges: tuple[Edge, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "edges", tuple(Edge(*e) for e in self.edges))
+    edges: tuple[tuple[str, int, int], ...]
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-        # Per vertex: (letter index, 0 out / 1 in, neighbour), sorted --
-        # this fixes the traversal tie-break and groups equal signed labels.
+    def _adjacency(self) -> list[list[int]]:
+        # Per vertex: s * n + w for each neighbour w reached along signed
+        # label s, sorted -- so by (letter, forward first, w), which fixes
+        # the traversal tie-break and groups equal signed labels.
+        n = self.vertex_count
         index = self.alphabet._index
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(self.vertex_count)]
+        adj: list[list[int]] = [[] for _ in range(n)]
         for label, s, t in self.edges:
             li = index.get(label)
             if li is None:
                 li = self.alphabet.index(label)  # raises UnknownSymbol
-            adj[s].append((li, 0, t))
-            adj[t].append((li, 1, s))
+            k = 2 * li * n
+            adj[s].append(k + t)
+            adj[t].append(k + n + s)
         for entries in adj:
             entries.sort()
-        return tuple(map(tuple, adj))
+        return adj
 
     @cached_property
-    def _edge_groups(self) -> dict[SignedLabel, tuple[tuple[int, int], ...]]:
-        # Signed label -> pairs (x, y) such that there is an edge so labelled
-        # from x to y (reverse labels list actual edges backwards).
-        groups: dict[SignedLabel, list[tuple[int, int]]] = {}
+    def _edge_groups(self) -> list[list[tuple[int, int]]]:
+        # Per signed label: pairs (x, y) such that there is an edge so
+        # labelled from x to y (reverse labels list actual edges backwards).
+        index = self.alphabet._index
+        groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(index))]
         for label, s, t in self.edges:
-            groups.setdefault(SignedLabel(label, False), []).append((s, t))
-            groups.setdefault(SignedLabel(label, True), []).append((t, s))
-        return {k: tuple(v) for k, v in groups.items()}
+            k = 2 * index[label]
+            groups[k].append((s, t))
+            groups[k + 1].append((t, s))
+        return groups
 
     @cached_property
-    def _preimages(self) -> dict[SignedLabel, tuple[int, ...]]:
-        # Signed label -> per vertex y, the bitmask of every x with an edge
+    def _preimages(self) -> list[list[int]]:
+        # Per signed label and vertex y: the bitmask of every x with an edge
         # so labelled from x to y; letters without edges get all-zero lists.
-        # Built per letter, so that no SignedLabel is made per edge.
         n = self.vertex_count
-        letters = self.alphabet.letters
-        heads = {letter: [0] * n for letter in letters}
-        tails = {letter: [0] * n for letter in letters}
+        index = self.alphabet._index
+        pre = [[0] * n for _ in range(2 * len(index))]
         for label, s, t in self.edges:
-            heads[label][t] |= 1 << s
-            tails[label][s] |= 1 << t
-        pre: dict[SignedLabel, tuple[int, ...]] = {}
-        for letter in letters:
-            pre[SignedLabel(letter, False)] = tuple(heads[letter])
-            pre[SignedLabel(letter, True)] = tuple(tails[letter])
+            k = 2 * index[label]
+            pre[k][t] |= 1 << s
+            pre[k + 1][s] |= 1 << t
         return pre
 
     @cached_property
-    def _supports(self) -> dict[SignedLabel, int]:
-        # Signed label -> the mask of every y whose preimage under it is not
-        # 0, i.e. every y that an edge so labelled leads to.  The union of a
-        # label's preimages is every x such an edge leaves, which is the
-        # support of the reverse label.
-        return {
-            SignedLabel(letter, not reverse): reduce(or_, back, 0)
-            for (letter, reverse), back in self._preimages.items()
-        }
+    def _supports(self) -> list[int]:
+        # Per signed label: the mask of every y whose preimage under it is
+        # not 0, i.e. every y that an edge so labelled leads to.  The union
+        # of a label's preimages is every x such an edge leaves, which is
+        # the support of the reverse label.
+        pre = self._preimages
+        return [reduce(or_, pre[s ^ 1], 0) for s in range(len(pre))]
 
     @cached_property
-    def _edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
-    @cached_property
-    def _traversal(self) -> TraversalOrder:
+    def _traversal(self) -> _Walk:
         return _compute_traversal(self)
 
 
@@ -165,15 +169,9 @@ def validate(
     if len(edge_tuple) != vertex_count - 1:
         raise NotATree(f"{len(edge_tuple)} edges on {vertex_count} vertices")
     tree = SigmaTree(alphabet, vertex_count, start, end, edge_tuple)
-    traversal_order = tree._traversal
-    if len(traversal_order.order) != vertex_count:
+    if len(tree._traversal.order) != vertex_count:
         raise NotATree("underlying graph is not connected")
-    v = end
-    while v != start:
-        parent_vertex, slab = traversal_order.parent[v]
-        if slab.reverse:
-            raise NoTrunk(f"edge between {parent_vertex} and {v} points against the trunk")
-        v = parent_vertex
+    trunk(tree)  # raises NoTrunk
     return tree
 
 
@@ -282,17 +280,16 @@ def evaluate(formula: Formula) -> SigmaTree:
     )
 
 
-def _compute_traversal(tree: SigmaTree) -> TraversalOrder:
+def _compute_traversal(tree: SigmaTree) -> _Walk:
     n = tree.vertex_count
     adj = tree._adjacency
-    # One SignedLabel per (letter, direction), at index 2 * letter + reverse.
-    slabs = [SignedLabel(letter, rev) for letter in tree.alphabet.letters for rev in (False, True)]
     start = tree.start
     position = [-1] * n
     order: list[int] = []
-    parent: list[Optional[tuple[int, SignedLabel]]] = [None] * n
-    children: list[list[tuple[int, SignedLabel]]] = [[] for _ in range(n)]
-    up: list[int] = []  # per position, the parent's position
+    # Per vertex, set when it is pushed: the position of the vertex that
+    # pushed it and the signed label read from there.
+    via_up = [-1] * n
+    via_label = [-1] * n
     # Explicit-stack preorder.  Neighbours are pushed in reverse so they pop
     # in adjacency order, and marked when pushed, so a cycle cannot loop.
     seen = bytearray(n)
@@ -303,32 +300,20 @@ def _compute_traversal(tree: SigmaTree) -> TraversalOrder:
         p = len(order)
         position[v] = p
         order.append(v)
-        if p:
-            u, slab = parent[v]
-            pu = position[u]
-            children[pu].append((p, slab))
-            up.append(pu)
-        else:
-            up.append(-1)
-        for li, rev, w in reversed(adj[v]):
+        for e in reversed(adj[v]):
+            w = e % n
             if not seen[w]:
                 seen[w] = 1
-                parent[w] = (v, slabs[li + li + rev])
+                via_up[w] = p
+                via_label[w] = e // n
                 stack.append(w)
-    # Subtree sizes, children before parents, give each span.
+    up = [via_up[v] for v in order]
+    label = [via_label[v] for v in order]
+    # Subtree sizes, children before parents.
     size = [1] * len(order)
-    span = [(0, 0)] * n
-    for p in range(len(order) - 1, -1, -1):
-        span[order[p]] = (p, p + size[p])
-        if p:
-            size[up[p]] += size[p]
-    return TraversalOrder(
-        tuple(order),
-        tuple(position),
-        tuple(parent),
-        tuple(map(tuple, children)),
-        tuple(span),
-    )
+    for p in range(len(order) - 1, 0, -1):
+        size[up[p]] += size[p]
+    return _Walk(order, position, up, label, size)
 
 
 def traversal(tree: SigmaTree) -> TraversalOrder:
@@ -336,26 +321,43 @@ def traversal(tree: SigmaTree) -> TraversalOrder:
 
     Neighbours are visited by ascending (letter rank, direction with forward
     first, original neighbour id), so every run over the same representation
-    produces the same numbering.  Computed once per tree by an explicit-stack
-    preorder walk, with one ``SignedLabel`` per letter and direction, and
-    spans from subtree sizes in one reverse pass.
+    produces the same numbering.  The tree computes and caches it once, by
+    an explicit-stack preorder walk, as flat lists indexed by position: the
+    parent's position, the integer signed label of the edge in, and the
+    subtree size.  This view, with ``SignedLabel``s and spans, is built from
+    those lists on each call.
     """
-    return tree._traversal
+    order, position, up, label, size = tree._traversal
+    slabs = [SignedLabel(letter, rev) for letter in tree.alphabet.letters for rev in (False, True)]
+    parent: list[Optional[tuple[int, SignedLabel]]] = [None] * len(position)
+    children: list[list[tuple[int, SignedLabel]]] = [[] for _ in position]
+    span = [(0, 0)] * len(position)
+    for p, v in enumerate(order):
+        span[v] = (p, p + size[p])
+        if p:
+            parent[v] = (order[up[p]], slabs[label[p]])
+            children[up[p]].append((p, slabs[label[p]]))
+    return TraversalOrder(
+        tuple(order), tuple(position), tuple(parent), tuple(map(tuple, children)), tuple(span)
+    )
 
 
 def trunk(tree: SigmaTree) -> Trunk:
     """Vertices t0..tq and labels b1..bq of the directed start-to-end path."""
     tr = tree._traversal
+    order, up, label = tr.order, tr.up, tr.label
+    letters = tree.alphabet.letters
     vertices = [tree.end]
     labels = []
-    v = tree.end
-    while v != tree.start:
-        parent_vertex, slab = tr.parent[v]
-        if slab.reverse:
-            raise NoTrunk(f"edge between {parent_vertex} and {v} points against the trunk")
-        labels.append(slab.letter)
-        vertices.append(parent_vertex)
-        v = parent_vertex
+    p = tr.position[tree.end]
+    if p < 0:
+        raise NotATree("the end vertex is not connected to the start")
+    while p:
+        if label[p] & 1:
+            raise NoTrunk(f"edge between {order[up[p]]} and {order[p]} points against the trunk")
+        labels.append(letters[label[p] >> 1])
+        p = up[p]
+        vertices.append(order[p])
     vertices.reverse()
     labels.reverse()
     return Trunk(tuple(vertices), tuple(labels))
@@ -366,8 +368,8 @@ def descendants(tree: SigmaTree, u: int) -> frozenset[int]:
     if not 0 <= u < tree.vertex_count:
         raise BadVertexId(f"vertex {u} out of range")
     tr = tree._traversal
-    lo, hi = tr.span[u]
-    return frozenset(tr.order[lo:hi])
+    lo = tr.position[u]
+    return frozenset(tr.order[lo : lo + tr.size[lo]])
 
 
 def to_json(tree: SigmaTree) -> str:

@@ -33,6 +33,7 @@ from adequate import (
     evaluate,
     exists_morphism_bruteforce,
     parse,
+    traversal,
     trivial_tree,
     trunk,
     unpruned_plus,
@@ -213,13 +214,20 @@ def ensure_admissible_by_walk(formula: Formula, mode: Mode) -> None:
 
 
 def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
-    """Reference candidate-set pass that recomputes every image."""
-    tr = t1._traversal
+    """Reference candidate-set pass that recomputes every image.
+
+    It reads the public traversal view of ``t1`` and groups the edges of
+    ``t2`` by ``SignedLabel`` itself, so it shares no index with the library.
+    """
+    tr = traversal(t1)
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
     masks[0] &= 1 << t2.start
     masks[tr.position[t1.end]] &= 1 << t2.end
     children = tr.children
-    groups = t2._edge_groups
+    groups = defaultdict(list)
+    for label, s, t in t2.edges:
+        groups[SignedLabel(label, False)].append((s, t))
+        groups[SignedLabel(label, True)].append((t, s))
     if t2.vertex_count <= 64:
         for p in range(t1.vertex_count - 1, -1, -1):
             bp = masks[p]
@@ -299,10 +307,18 @@ def parse_by_index(text: str, alphabet: Alphabet, mode=None) -> Formula:
 
 def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
     """Reference traversal: a depth-first search keeping one neighbour
-    iterator per open vertex, marking vertices when they are visited."""
+    iterator per open vertex, marking vertices when they are visited.
+    Neighbours are sorted by (letter rank, direction, id), from an adjacency
+    built here straight from the edge list."""
     n = tree.vertex_count
     letters = tree.alphabet.letters
-    adj = tree._adjacency
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    for label, s, t in tree.edges:
+        li = tree.alphabet.index(label)
+        adj[s].append((li, 0, t))
+        adj[t].append((li, 1, s))
+    for entries in adj:
+        entries.sort()
     position = [-1] * n
     order = [tree.start]
     position[tree.start] = 0

@@ -8,6 +8,7 @@ from hypothesis import given
 
 from adequate import (
     Alphabet,
+    AlphabetMismatch,
     BareGroup,
     DanglingUnary,
     EmptyNotAllowed,
@@ -133,6 +134,19 @@ def test_occurring_letters(ab):
 def test_concat(ab):
     f = concat(parse("a", ab), parse("(b)+", ab))
     assert render(f) == "a(b)+"
+
+
+def test_concat_joins_texts_without_building_nodes(ab):
+    pairs = [(" a ( b ) + ", "(a)*b"), ("", "(b)+"), ("a", ""), ("", "")]
+    pairs.append(tuple(large_words()[:2]))
+    for left_text, right_text in pairs:
+        left, right = parse(left_text, ab), parse(right_text, ab)
+        joined = concat(left, right)
+        assert joined == parse(left_text + right_text, ab)
+        for f in (left, right, joined):
+            assert "factors" not in vars(f)
+    with pytest.raises(AlphabetMismatch):
+        concat(parse("a", ab), parse("a", Alphabet.from_string("abc")))
 
 
 @given(formulas())

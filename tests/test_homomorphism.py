@@ -10,7 +10,6 @@ from adequate import (
     Alphabet,
     Edge,
     SigmaTree,
-    SignedLabel,
     base_tree,
     candidate_sets,
     evaluate,
@@ -193,6 +192,38 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
     assert min(narrowest.values()) >= 40
 
 
+def test_propagate_matches_unmemoised_on_narrow_targets(ab):
+    # Targets of 1-65 vertices: every size up to the 64-vertex cut of the
+    # edge-scan branch, and 65, the narrowest the wide branch takes.  The
+    # early-exit pass must agree with the full one whenever it keeps the
+    # start's mask.
+    rng = Random(20247)
+    abc = Alphabet.from_string("abc")
+    outcomes = {False: 0, True: 0}
+    for edges in list(range(65)) + [63, 64] * 8:
+        t2 = random_tree(rng, edges, ab)
+        assert t2.vertex_count == edges + 1
+        sources = [
+            t2,
+            random_relabelling(rng, t2),
+            prune(t2).tree,
+            random_tree(rng, rng.randrange(12), ab),
+            random_tree(rng, rng.randrange(100), ab),
+            unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(4), ab)), t2),
+        ]
+        pairs = [(t1, t2) for t1 in sources]
+        pairs.append((random_tree(rng, rng.randrange(30), abc), _over(abc, t2)))
+        for t1, target in pairs:
+            full = _propagate(t1, target)
+            assert full == propagate_unmemoised(t1, target)
+            early = _propagate(t1, target, _early_exit=True)
+            assert (early[0] != 0) == (full[0] != 0)
+            if early[0]:
+                assert early == full
+            outcomes[full[0] != 0] += 1
+    assert min(outcomes.values()) >= 100
+
+
 def _over(alphabet, tree):
     return SigmaTree(alphabet, tree.vertex_count, tree.start, tree.end, tree.edges)
 
@@ -208,14 +239,30 @@ def test_preimages_match_edge_groups(ab):
         tree = random_tree(rng, edges, ab)
         groups = tree._edge_groups
         pre = tree._preimages
-        assert set(pre) == {SignedLabel(l, r) for l in ab.letters for r in (False, True)}
-        for slab, back in pre.items():
+        assert len(pre) == 2 * len(ab.letters)  # one entry per signed label
+        for s, back in enumerate(pre):
             assert len(back) == tree.vertex_count
             pairs = {
                 (x, y) for y, mask in enumerate(back) for x in range(tree.vertex_count)
                 if (mask >> x) & 1
             }
-            assert pairs == set(groups.get(slab, ()))
+            assert pairs == set(groups[s])
+
+
+def test_edge_groups_are_keyed_by_integer_signed_labels():
+    # _edge_groups[2 * i + r] lists, in edge order, the pairs (x, y) of every
+    # edge labelled with letter i, read forwards (r = 0) or backwards (r = 1).
+    rng = Random(20248)
+    abc = Alphabet.from_string("abc")
+    cases = [random_tree(rng, n, abc) for n in (0, 1, 2, 64, 65, 300)]
+    cases += [_over(abc, random_tree(rng, rng.randrange(301), Alphabet.from_string("ab")))]
+    for tree in cases:
+        groups = tree._edge_groups
+        assert len(groups) == 6
+        for i, letter in enumerate(abc.letters):
+            forward = [(s, t) for label, s, t in tree.edges if label == letter]
+            assert groups[2 * i] == forward
+            assert groups[2 * i + 1] == [(t, s) for s, t in forward]
 
 
 def test_supports_match_edge_groups(ab):
@@ -231,14 +278,14 @@ def test_supports_match_edge_groups(ab):
         groups = tree._edge_groups
         supports = tree._supports
         letters = tree.alphabet.letters
-        assert set(supports) == {SignedLabel(l, r) for l in letters for r in (False, True)}
-        for slab, support in supports.items():
-            heads = {y for _, y in groups.get(slab, ())}
+        assert len(supports) == 2 * len(letters)  # one entry per signed label
+        for s, support in enumerate(supports):
+            heads = {y for _, y in groups[s]}
             assert support == sum(1 << y for y in heads)
             union = 0
-            for mask in tree._preimages[slab]:
+            for mask in tree._preimages[s]:
                 union |= mask
-            assert union == supports[SignedLabel(slab.letter, not slab.reverse)]
+            assert union == supports[s ^ 1]  # the reverse label's support
 
 
 def test_wide_targets_match_bruteforce(ab):

@@ -16,6 +16,7 @@ from adequate import (
     NoTrunk,
     NotATree,
     Sidedness,
+    SigmaTree,
     SignedLabel,
     Unary,
     UnaryOp,
@@ -223,6 +224,27 @@ def test_traversal_examples(ab):
     t = validate(3, 0, 2, [("a", 0, 1), ("a", 0, 2)], ab)
     assert traversal(t).order == (0, 1, 2)
     assert traversal(trivial_tree(ab)).order == (0,)
+
+
+def test_traversal_view_fills_the_cache_the_algorithms_read(ab):
+    t = evaluate(parse("a(b)+(a)*b", ab))
+    assert "_traversal" not in vars(t)
+    tr = traversal(t)
+    assert "_traversal" in vars(t)
+    assert traversal(t) == tr == traversal_by_iterators(t)
+
+
+def test_trunk_of_an_unvalidated_tree_needs_a_path_to_the_end(ab):
+    with pytest.raises(NotATree):
+        trunk(SigmaTree(ab, 3, 0, 2, (("a", 0, 1),)))
+
+
+def test_evaluated_edges_are_plain_tuples_equal_to_edges(ab):
+    t = evaluate(parse("a(b)+((a)*b)+", ab))
+    assert all(type(e) is tuple for e in t.edges)
+    wrapped = SigmaTree(ab, t.vertex_count, t.start, t.end, tuple(Edge(*e) for e in t.edges))
+    assert t == wrapped and hash(t) == hash(wrapped)
+    assert to_json(t) == to_json(wrapped) and to_dot(t) == to_dot(wrapped)
 
 
 @given(trees())
