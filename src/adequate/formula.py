@@ -155,7 +155,9 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     ``factors`` only when they are read.  A ``)`` waits for its operator;
     only whitespace may come in between.
     """
-    allowed = frozenset(UnaryOp) if mode is None else mode.allowed_ops()
+    # The admitted operator characters, so that a ")" tests a character and
+    # hashes no UnaryOp.
+    allowed = "+*" if mode is None else "".join(op.value for op in mode.allowed_ops())
     allow_empty = mode is None or not mode.semigroup
     known = alphabet._index
     depth = 0
@@ -178,13 +180,12 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
             else:
                 raise UnknownSymbol(i, f"{ch!r}")
         else:
-            op = _OPS.get(ch)
-            if op is None:
+            if ch not in _OPS:
                 if ch.isspace():
                     continue
                 raise BareGroup(i)
-            if op not in allowed:
-                raise OpNotInSignature(i, f"{op.value!r} is not in the signature of this mode")
+            if ch not in allowed:
+                raise OpNotInSignature(i, f"{ch!r} is not in the signature of this mode")
             if not allow_empty:  # empty if the last non-space before ")" is "("
                 j = closed - 1
                 while text[j].isspace():

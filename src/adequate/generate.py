@@ -8,7 +8,7 @@ from itertools import product
 from random import Random
 
 from .formula import Alphabet, Formula, Letter, Unary, UnaryOp
-from .tree import Edge, SigmaTree, trivial_tree, validate
+from .tree import SigmaTree, trivial_tree, validate
 
 
 def _decode_prufer(seq: list[int], n: int) -> list[tuple[int, int]]:
@@ -82,7 +82,7 @@ def random_relabelling(rng: Random, tree: SigmaTree) -> SigmaTree:
     n = tree.vertex_count
     perm = list(range(n))
     rng.shuffle(perm)
-    edges = [Edge(label, perm[s], perm[t]) for label, s, t in tree.edges]
+    edges = [(label, perm[s], perm[t]) for label, s, t in tree.edges]
     rng.shuffle(edges)
     return SigmaTree(tree.alphabet, n, perm[tree.start], perm[tree.end], tuple(edges))
 
@@ -171,7 +171,7 @@ def enumerate_trees(max_edges: int, alphabet: Alphabet) -> list[SigmaTree]:
 
     def build(trunk_label_indices: tuple[int, ...], hangs: tuple) -> SigmaTree:
         q = len(trunk_label_indices)
-        edges = [Edge(letters[li], i, i + 1) for i, li in enumerate(trunk_label_indices)]
+        edges = [(letters[li], i, i + 1) for i, li in enumerate(trunk_label_indices)]
         next_id = q + 1
 
         def attach(v: int, branch_tuple) -> None:
@@ -179,7 +179,7 @@ def enumerate_trees(max_edges: int, alphabet: Alphabet) -> list[SigmaTree]:
             for li, rev, sub in branch_tuple:
                 w = next_id
                 next_id += 1
-                edges.append(Edge(letters[li], w, v) if rev else Edge(letters[li], v, w))
+                edges.append((letters[li], w, v) if rev else (letters[li], v, w))
                 attach(w, sub)
 
         for i, branch_tuple in enumerate(hangs):

@@ -10,19 +10,18 @@ the integers ``2 * letter index + reverse`` that index the target's tables.
 
 The image of a child's candidate set along a signed label depends only on
 that label and that set.  Random trees have few distinct fringe subtrees, so
-the same pair recurs often; for targets of more than 64 vertices each image
-is computed once per call and then looked up.  Such an image is the union of
-the preimage masks (per signed label and target vertex y, every x with an
-edge so labelled from x to y) of the set bits of the child's set, so a miss
-costs one mask union per candidate rather than a scan of every target edge
-with that label.  Only vertices in the label's support (those with a
-non-zero preimage) can contribute, so the memo is keyed by the child's set
-masked to the support: a miss walks fewer bits, sets that differ only
-outside the support share one entry, and the image of the whole support,
-the support of the reverse label, is entered before the pass starts.  On
-~800-edge pairs a support holds 246-343 vertices, and the bits walked per
-miss fell from a mean of 48 to 13.  Targets of at most 64 vertices keep the
-plain edge scan, which is faster on the small targets of small queries.
+the same pair recurs often; each image is computed once per call and then
+looked up.  Such an image is the union of the preimage masks (per signed
+label and target vertex y, every x with an edge so labelled from x to y) of
+the set bits of the child's set, so a miss costs one mask union per
+candidate rather than a scan of every target edge with that label.  Only
+vertices in the label's support (those with a non-zero preimage) can
+contribute, so the memo is keyed by the child's set masked to the support:
+a miss walks fewer bits, sets that differ only outside the support share
+one entry, and the image of the whole support, the support of the reverse
+label, is entered before the pass starts.  On ~800-edge pairs a support
+holds 246-343 vertices, and the bits walked per miss fell from a mean of 48
+to 13.
 """
 
 from __future__ import annotations
@@ -83,13 +82,8 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
     sets ``masks[0]`` to 0, as every ancestor would end empty; whenever
     ``masks[0]`` is not 0 the masks are those of the full pass.
 
-    Targets of at most 64 vertices scan the label's target edges with bit
-    tests on machine-size ints and keep no memo.  Counting each index build,
-    the scan is 2x faster than the walk below on targets of at most 4 edges,
-    level at about 16 and 2.5-3x slower towards 63 (in-process, random
-    ``ab`` trees); the cut stays at 64, where ``cli-small`` traffic has it.
-    Wider targets keep one memo per signed label, keyed by the child mask
-    ANDed with the label's support, and compute a miss as the union of the
+    The pass keeps one memo per signed label, keyed by the child mask
+    ANDed with the label's support, and computes a miss as the union of the
     target's preimage masks over the set bits of that key.  A preimage is 0
     outside the support, so the masking keeps every image as it was; the
     memo starts with the image of the whole support, the reverse label's
@@ -102,36 +96,26 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
     masks[0] &= 1 << t2.start
     masks[tr.position[t1.end]] &= 1 << t2.end
-    narrow = t2.vertex_count <= 64
-    if narrow:
-        groups = t2._edge_groups
-    else:
-        preimages, supports = t2._preimages, t2._supports
-        memos = [{support: supports[s ^ 1]} for s, support in enumerate(supports)]
+    preimages, supports = t2._preimages, t2._supports
+    memos = [{support: supports[s ^ 1]} for s, support in enumerate(supports)]
     for p in range(t1.vertex_count - 1, 0, -1):
         child = masks[p]
         if not child and _early_exit:
             masks[0] = 0
             return masks
         s = label[p]
-        if narrow:
+        key = child & supports[s]
+        memo = memos[s]
+        image = memo.get(key)
+        if image is None:
+            back = preimages[s]
             image = 0
-            for x, y in groups[s]:
-                if (child >> y) & 1:
-                    image |= 1 << x
-        else:
-            key = child & supports[s]
-            memo = memos[s]
-            image = memo.get(key)
-            if image is None:
-                back = preimages[s]
-                image = 0
-                rest = key
-                while rest:
-                    low = rest & -rest
-                    image |= back[low.bit_length() - 1]
-                    rest ^= low
-                memo[key] = image
+            rest = key
+            while rest:
+                low = rest & -rest
+                image |= back[low.bit_length() - 1]
+                rest ^= low
+            memo[key] = image
         masks[up[p]] &= image
     return masks
 
@@ -164,21 +148,18 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
         return None
     tr = t1._traversal
     order, up, label = tr.order, tr.up, tr.label
-    groups = t2._edge_groups
+    preimages = t2._preimages
     mapping = [-1] * t1.vertex_count
     first = masks[0]
     mapping[t1.start] = (first & -first).bit_length() - 1
     for p in range(1, t1.vertex_count):
-        src = mapping[order[up[p]]]
-        mask = masks[p]
-        best = -1
-        for x, y in groups[label[p]]:
-            if x == src and (mask >> y) & 1 and (best < 0 or y < best):
-                best = y
+        # Candidates that an edge labelled label[p] reaches from the parent's
+        # image: the reverse label's preimage of that image.
+        fit = masks[p] & preimages[label[p] ^ 1][mapping[order[up[p]]]]
         # The propagation pass guarantees a supported candidate here.
-        if best < 0:
+        if not fit:
             raise RuntimeError(f"no supported candidate at traversal position {p}")
-        mapping[order[p]] = best
+        mapping[order[p]] = (fit & -fit).bit_length() - 1
     return VertexMorphism(tuple(mapping))
 
 
@@ -210,7 +191,15 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
     tr = t1._traversal
     n = t1.vertex_count
     order, up, label = tr.order, tr.up, tr.label
-    groups = t2._edge_groups
+    # Per signed label, in edge order: pairs (x, y) such that there is an
+    # edge so labelled from x to y.  Built here so that the oracle shares no
+    # target index with the propagation pass it judges.
+    index = t2.alphabet._index
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(index))]
+    for letter, s, t in t2.edges:
+        k = 2 * index[letter]
+        groups[k].append((s, t))
+        groups[k + 1].append((t, s))
     end1, end2 = t1.end, t2.end
     mapping = [-1] * n
 

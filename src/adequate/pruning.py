@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .homomorphism import _all_morphisms, _propagate
-from .tree import Edge, SigmaTree, unpruned_plus, unpruned_product, unpruned_star
+from .tree import SigmaTree, unpruned_plus, unpruned_product, unpruned_star
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
 def _induced_subtree(tree: SigmaTree, kept_sorted: tuple[int, ...]) -> SigmaTree:
     remap = {old: new for new, old in enumerate(kept_sorted)}
     edges = tuple(
-        Edge(label, remap[s], remap[t])
+        (label, remap[s], remap[t])
         for label, s, t in tree.edges
         if s in remap and t in remap
     )

@@ -20,6 +20,8 @@ from .formula import Alphabet, Formula
 
 
 class Edge(NamedTuple):
+    """Names the fields of an edge; trees store plain tuples, equal to it."""
+
     label: str
     source: int
     target: int
@@ -79,9 +81,10 @@ class SigmaTree:
     Invariants (enforced by :func:`validate`, preserved by all operations):
     exactly ``vertex_count - 1`` edges forming a connected undirected tree on
     vertices ``0..vertex_count-1``, and a directed path from start to end.
-    ``edges`` holds ``(label, source, target)`` tuples as given.  Instances
-    are immutable; derived structures are cached on first use, keyed by the
-    signed label ``s = 2 * letter index + reverse`` (its reverse is s ^ 1).
+    ``edges`` holds ``(label, source, target)`` triples, plain tuples in every
+    tree the library builds.  Instances are immutable; derived structures are
+    cached on first use, keyed by the signed label ``s = 2 * letter index +
+    reverse`` (its reverse is s ^ 1).
     """
 
     alphabet: Alphabet
@@ -108,18 +111,6 @@ class SigmaTree:
         for entries in adj:
             entries.sort()
         return adj
-
-    @cached_property
-    def _edge_groups(self) -> list[list[tuple[int, int]]]:
-        # Per signed label: pairs (x, y) such that there is an edge so
-        # labelled from x to y (reverse labels list actual edges backwards).
-        index = self.alphabet._index
-        groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(index))]
-        for label, s, t in self.edges:
-            k = 2 * index[label]
-            groups[k].append((s, t))
-            groups[k + 1].append((t, s))
-        return groups
 
     @cached_property
     def _preimages(self) -> list[list[int]]:
@@ -161,7 +152,7 @@ def validate(
     for v, role in ((start, "start"), (end, "end")):
         if not 0 <= v < vertex_count:
             raise BadVertexId(f"{role} vertex {v} out of range 0..{vertex_count - 1}")
-    edge_tuple = tuple(Edge(label, s, t) for label, s, t in edges)
+    edge_tuple = tuple((label, s, t) for label, s, t in edges)
     for label, s, t in edge_tuple:
         if not (0 <= s < vertex_count and 0 <= t < vertex_count):
             raise BadVertexId(f"edge ({label!r},{s},{t}) references a vertex out of range")
@@ -183,7 +174,7 @@ def trivial_tree(alphabet: Alphabet) -> SigmaTree:
 def base_tree(letter: str, alphabet: Alphabet) -> SigmaTree:
     """Two vertices joined by one ``letter``-labelled edge, start to end."""
     alphabet.index(letter)
-    return SigmaTree(alphabet, 2, 0, 1, (Edge(letter, 0, 1),))
+    return SigmaTree(alphabet, 2, 0, 1, ((letter, 0, 1),))
 
 
 def unpruned_product(x: SigmaTree, y: SigmaTree) -> SigmaTree:
@@ -205,7 +196,7 @@ def unpruned_product(x: SigmaTree, y: SigmaTree) -> SigmaTree:
             return x_end
         return nx + (v if v < y_start else v - 1)
 
-    edges = x.edges + tuple(Edge(l, renumber(s), renumber(t)) for l, s, t in y.edges)
+    edges = x.edges + tuple((l, renumber(s), renumber(t)) for l, s, t in y.edges)
     return SigmaTree(x.alphabet, nx + y.vertex_count - 1, x.start, renumber(y.end), edges)
 
 

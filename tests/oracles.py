@@ -29,6 +29,7 @@ from adequate import (
     UnaryOp,
     UnbalancedParenthesis,
     UnknownSymbol,
+    VertexMorphism,
     base_tree,
     evaluate,
     exists_morphism_bruteforce,
@@ -252,6 +253,48 @@ def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
             bp &= int.from_bytes(buf, "little")
         masks[p] = bp
     return masks
+
+
+def edge_pairs(tree: SigmaTree) -> list[list[tuple[int, int]]]:
+    """Per integer signed label ``2 * letter index + reverse``, in edge order:
+    the pairs (x, y) such that there is an edge so labelled from x to y."""
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(tree.alphabet))]
+    for label, s, t in tree.edges:
+        k = 2 * tree.alphabet.index(label)
+        pairs[k].append((s, t))
+        pairs[k + 1].append((t, s))
+    return pairs
+
+
+def extract_morphism_by_scan(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
+    """Reference witness: the per-edge scan that the library replaced with a
+    pick from preimage masks.
+
+    From the reference masks, each vertex in traversal order takes the least
+    candidate y such that an edge labelled as the edge in leads from its
+    parent's image to y.  It reads the public traversal view of ``t1`` and
+    pairs built from ``t2.edges``.
+    """
+    masks = propagate_unmemoised(t1, t2)
+    if masks[0] == 0:
+        return None
+    tr = traversal(t1)
+    pairs = edge_pairs(t2)
+    mapping = [-1] * t1.vertex_count
+    first = masks[0]
+    mapping[t1.start] = (first & -first).bit_length() - 1
+    for p in range(1, t1.vertex_count):
+        v = tr.order[p]
+        parent, slab = tr.parent[v]
+        src = mapping[parent]
+        best = -1
+        for x, y in pairs[2 * t1.alphabet.index(slab.letter) + slab.reverse]:
+            if x == src and (masks[p] >> y) & 1 and (best < 0 or y < best):
+                best = y
+        if best < 0:
+            raise RuntimeError(f"no supported candidate at traversal position {p}")
+        mapping[v] = best
+    return VertexMorphism(tuple(mapping))
 
 
 def parse_by_index(text: str, alphabet: Alphabet, mode=None) -> Formula:

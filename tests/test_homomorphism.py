@@ -27,7 +27,7 @@ from adequate import (
 from adequate import homomorphism
 from adequate.generate import random_relabelling, random_tree
 from adequate.homomorphism import _propagate
-from oracles import propagate_unmemoised
+from oracles import edge_pairs, extract_morphism_by_scan, propagate_unmemoised
 from strategies import trees
 
 
@@ -144,8 +144,6 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
             (x, random_tree(rng, rng.randrange(64, 800), ab)),
         ]
         for t1, t2 in pairs:
-            if t2.vertex_count <= 64:
-                continue
             masks = _propagate(t1, t2)
             assert masks == propagate_unmemoised(t1, t2)
             outcomes.add(masks[0] != 0)
@@ -171,7 +169,7 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
         t2 = _relabelled(random_tree(rng, rng.randrange(64, 400), ab), "a")
         for t1 in (t2, random_relabelling(rng, t2), random_tree(rng, rng.randrange(200), ab)):
             assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
-    # 65 target vertices: the narrowest targets the wide branch takes.
+    # 65 target vertices, one more than a 64-bit mask holds.
     narrowest = {False: 0, True: 0}
     for _ in range(40):
         t2 = random_tree(rng, 64, ab)
@@ -193,10 +191,10 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
 
 
 def test_propagate_matches_unmemoised_on_narrow_targets(ab):
-    # Targets of 1-65 vertices: every size up to the 64-vertex cut of the
-    # edge-scan branch, and 65, the narrowest the wide branch takes.  The
-    # early-exit pass must agree with the full one whenever it keeps the
-    # start's mask.
+    # Targets of 1-65 vertices, the sizes of small queries: every size, and
+    # 64 and 65 (the last that a 64-bit mask holds and the first it does not)
+    # eight more times.  The early-exit pass must agree with the full one
+    # whenever it keeps the start's mask.
     rng = Random(20247)
     abc = Alphabet.from_string("abc")
     outcomes = {False: 0, True: 0}
@@ -237,7 +235,7 @@ def test_preimages_match_edge_groups(ab):
     rng = Random(20243)
     for edges in [0, 1, 2, 64, 65, 300] + [rng.randrange(301) for _ in range(24)]:
         tree = random_tree(rng, edges, ab)
-        groups = tree._edge_groups
+        groups = edge_pairs(tree)
         pre = tree._preimages
         assert len(pre) == 2 * len(ab.letters)  # one entry per signed label
         for s, back in enumerate(pre):
@@ -247,22 +245,6 @@ def test_preimages_match_edge_groups(ab):
                 if (mask >> x) & 1
             }
             assert pairs == set(groups[s])
-
-
-def test_edge_groups_are_keyed_by_integer_signed_labels():
-    # _edge_groups[2 * i + r] lists, in edge order, the pairs (x, y) of every
-    # edge labelled with letter i, read forwards (r = 0) or backwards (r = 1).
-    rng = Random(20248)
-    abc = Alphabet.from_string("abc")
-    cases = [random_tree(rng, n, abc) for n in (0, 1, 2, 64, 65, 300)]
-    cases += [_over(abc, random_tree(rng, rng.randrange(301), Alphabet.from_string("ab")))]
-    for tree in cases:
-        groups = tree._edge_groups
-        assert len(groups) == 6
-        for i, letter in enumerate(abc.letters):
-            forward = [(s, t) for label, s, t in tree.edges if label == letter]
-            assert groups[2 * i] == forward
-            assert groups[2 * i + 1] == [(t, s) for s, t in forward]
 
 
 def test_supports_match_edge_groups(ab):
@@ -275,7 +257,7 @@ def test_supports_match_edge_groups(ab):
     # Over abc with no c-edge: both c supports are 0.
     cases += [_over(abc, random_tree(rng, rng.randrange(301), ab)) for _ in range(12)]
     for tree in cases:
-        groups = tree._edge_groups
+        groups = edge_pairs(tree)
         supports = tree._supports
         letters = tree.alphabet.letters
         assert len(supports) == 2 * len(letters)  # one entry per signed label
@@ -289,8 +271,8 @@ def test_supports_match_edge_groups(ab):
 
 
 def test_wide_targets_match_bruteforce(ab):
-    # Targets of more than 64 vertices take the wide-mask branch.  Targets
-    # are a looped large tree followed by a short tail, and most sources a
+    # Targets of 66-203 vertices, wider than a 64-bit mask.  Targets are a
+    # looped large tree followed by a short tail, and most sources a
     # looped small tree followed by the same tail, so both answers occur.
     rng = Random(20242)
     outcomes = {False: 0, True: 0}
@@ -309,6 +291,34 @@ def test_wide_targets_match_bruteforce(ab):
             assert is_morphism(t1, t2, witness.mapping)
         outcomes[answer] += 1
     assert min(outcomes.values()) >= 50
+
+
+def test_extract_matches_scan_witness(ab):
+    # The witness picked from preimage masks is the least candidate that the
+    # reference scan of edge pairs picks, None included: on targets of every
+    # size from 1 to 65 vertices (64 and 65 repeated) and on wide targets of
+    # up to 400 edges, from self, relabelled, pruned and unrelated sources.
+    rng = Random(20249)
+    abc = Alphabet.from_string("abc")
+    outcomes = {False: 0, True: 0}
+    sizes = list(range(65)) + [63, 64] * 4 + [rng.randrange(65, 401) for _ in range(10)]
+    for edges in sizes:
+        t2 = random_tree(rng, edges, ab)
+        sources = [
+            t2,
+            random_relabelling(rng, t2),
+            prune(t2).tree,
+            random_tree(rng, rng.randrange(12), ab),
+            random_tree(rng, rng.randrange(100), ab),
+            unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(4), ab)), t2),
+        ]
+        pairs = [(t1, t2) for t1 in sources]
+        pairs.append((random_tree(rng, rng.randrange(30), abc), _over(abc, t2)))
+        for t1, target in pairs:
+            witness = extract_morphism(t1, target)
+            assert witness == extract_morphism_by_scan(t1, target)
+            outcomes[witness is not None] += 1
+    assert min(outcomes.values()) >= 100
 
 
 def test_early_exit_masks_match_full_pass(ab):

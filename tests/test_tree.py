@@ -29,6 +29,7 @@ from adequate import (
     from_json,
     occurrence_count,
     parse,
+    prune,
     render,
     to_dot,
     to_json,
@@ -245,6 +246,32 @@ def test_evaluated_edges_are_plain_tuples_equal_to_edges(ab):
     wrapped = SigmaTree(ab, t.vertex_count, t.start, t.end, tuple(Edge(*e) for e in t.edges))
     assert t == wrapped and hash(t) == hash(wrapped)
     assert to_json(t) == to_json(wrapped) and to_dot(t) == to_dot(wrapped)
+
+
+def test_every_constructor_keeps_plain_edge_tuples(ab):
+    rng = Random(6061)
+    x = random_tree(rng, 12, ab)
+    y = evaluate(parse("a(b)+((a)*b)+", ab))
+    made = [
+        x,
+        validate(y.vertex_count, y.start, y.end, [list(e) for e in y.edges], ab),
+        from_json(to_json(x)),
+        base_tree("b", ab),
+        unpruned_product(x, y),
+        unpruned_plus(x),
+        unpruned_star(y),
+        prune(unpruned_product(y, y)).tree,
+        random_relabelling(rng, x),
+    ]
+    made += enumerate_trees(2, ab)
+    for t in made:
+        assert all(type(e) is tuple for e in t.edges)
+        wrapped = SigmaTree(ab, t.vertex_count, t.start, t.end, tuple(Edge(*e) for e in t.edges))
+        assert t == wrapped and hash(t) == hash(wrapped)
+        assert to_json(t) == to_json(wrapped) and to_dot(t) == to_dot(wrapped)
+    # validate still unpacks every item, so a malformed triple raises.
+    with pytest.raises(ValueError):
+        validate(2, 0, 1, [("a", 0)], ab)
 
 
 @given(trees())
