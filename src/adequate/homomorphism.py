@@ -1,27 +1,24 @@
 """Deciding whether one tree maps into another.
 
 The decision procedure is constraint propagation: every vertex of the source
-tree keeps a set of candidate images in the target, the sets are filtered
-once along each source edge in reverse depth-first order, and a morphism
-exists exactly when the start vertex keeps a candidate.  Candidate sets are
-bitmasks, giving O(nm) time overall for trees on n and m vertices.  The pass
-is one loop over the source's traversal positions, and signed labels are
-the integers ``2 * letter index + reverse`` that index the target's tables.
+tree keeps a set of candidate images in the target, and a morphism exists
+exactly when the start vertex keeps a candidate.  Candidate sets are
+bitmasks, giving O(nm) time overall for trees on n and m vertices.  Signed
+labels are the integers ``2 * letter index + reverse`` that index the
+target's tables.
 
-The image of a child's candidate set along a signed label depends only on
-that label and that set.  Random trees have few distinct fringe subtrees, so
-the same pair recurs often; each image is computed once per call and then
-looked up.  Such an image is the union of the preimage masks (per signed
-label and target vertex y, every x with an edge so labelled from x to y) of
-the set bits of the child's set, so a miss costs one mask union per
-candidate rather than a scan of every target edge with that label.  Only
-vertices in the label's support (those with a non-zero preimage) can
-contribute, so the memo is keyed by the child's set masked to the support:
-a miss walks fewer bits, sets that differ only outside the support share
-one entry, and the image of the whole support, the support of the reverse
-label, is entered before the pass starts.  On ~800-edge pairs a support
-holds 246-343 vertices, and the bits walked per miss fell from a mean of 48
-to 13.
+A morphism fixes the start and preserves labelled edges, so it maps a
+source vertex p into D(p), the target vertices reached from the target's
+start by reading p's path word.  A forward pass over the source in
+depth-first order seeds each set with D(p), the image of its parent's set
+along the edge in; a backward pass in reverse order then filters each
+parent's set by the image of each child's set.  On ~800-edge pairs a D(p)
+holds 1.9 vertices on average and 44% of them hold one, whose image is one
+preimage mask of the target (per signed label and target vertex y, every x
+with an edge so labelled from x to y).  Random trees have few distinct
+fringe subtrees, so wider sets recur: each of their images is computed once
+per call, as the union of the preimage masks of its bits, and then looked
+up.
 """
 
 from __future__ import annotations
@@ -52,8 +49,10 @@ class CandidateSets:
     """Candidate images per source vertex, in traversal position order.
 
     ``masks[p]`` has bit ``v`` set when target vertex ``v`` is still a
-    possible image of the source vertex at position ``p``.  Masks only ever
-    shrink as the propagation runs.
+    possible image of the source vertex at position ``p`` after both passes:
+    the forward pass starts it at D(p), the target vertices that p's path
+    word reaches from the target's start, and the backward pass only clears
+    bits.  Every morphism maps p to a member.
     """
 
     masks: list[int]
@@ -73,55 +72,71 @@ def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
 
 
 def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[int]:
-    """Run the filtering pass; returns final masks by traversal position.
+    """Run the two filtering passes; returns final masks by traversal position.
 
-    One loop over source positions p = n-1 .. 1 ANDs into ``masks[up[p]]``
-    the image of ``masks[p]`` along ``label[p]``.  Every descendant of p
-    comes later in preorder, so ``masks[p]`` is final when p is reached.
-    With ``_early_exit`` the pass stops at the first empty mask reached and
-    sets ``masks[0]`` to 0, as every ancestor would end empty; whenever
-    ``masks[0]`` is not 0 the masks are those of the full pass.
+    Forward, p = 1 .. n-1: ``masks[p]`` is the image of ``masks[up[p]]``
+    along ``label[p] ^ 1``, the vertices that an edge labelled ``label[p]``
+    reaches from the parent's candidates; from ``masks[0]``, the target's
+    start, this gives D(p).  The end's mask is then cut to the target's end.
+    Backward, p = n-1 .. 1: ``masks[up[p]]`` is ANDed with the image of
+    ``masks[p]`` along ``label[p]``; every descendant of p comes later in
+    preorder, so ``masks[p]`` is final when p is reached.  Every neighbour
+    along ``label[p]`` of a vertex of D(up[p]) lies in D(p), so each final
+    mask is the backward pass's mask from full sets, ANDed with D(p).
 
-    The pass keeps one memo per signed label, keyed by the child mask
-    ANDed with the label's support, and computes a miss as the union of the
-    target's preimage masks over the set bits of that key.  A preimage is 0
-    outside the support, so the masking keeps every image as it was; the
-    memo starts with the image of the whole support, the reverse label's
-    support ``supports[s ^ 1]``.  On ``eq-large`` seed 701 (60 queries, both
-    directions) this cut the bits walked by misses from 1,178,515 to 306,565
-    and the misses from 24,578 to 23,020.
+    With ``_early_exit`` either pass stops at the first empty mask and sets
+    ``masks[0]`` to 0, as every ancestor would end empty; whenever
+    ``masks[0]`` is not 0 the masks are those of the full passes.
+
+    A one-bit mask's image is the target's preimage mask of that bit.  A
+    wider mask's image is looked up in a memo per signed label; a miss is
+    the union of the preimage masks of its bits.  Without the memo, a star
+    of k like-labelled leaves would walk the same k-bit mask at every leaf.
     """
     tr = t1._traversal
     up, label = tr.up, tr.label
-    masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
-    masks[0] &= 1 << t2.start
-    masks[tr.position[t1.end]] &= 1 << t2.end
-    preimages, supports = t2._preimages, t2._supports
-    memos = [{support: supports[s ^ 1]} for s, support in enumerate(supports)]
-    for p in range(t1.vertex_count - 1, 0, -1):
-        child = masks[p]
-        if not child and _early_exit:
-            masks[0] = 0
-            return masks
-        s = label[p]
-        key = child & supports[s]
+    n = t1.vertex_count
+    preimages = t2._preimages
+    memos: list[dict[int, int]] = [{} for _ in preimages]
+
+    def image(mask: int, s: int) -> int:
+        if not mask & (mask - 1):
+            return preimages[s][mask.bit_length() - 1] if mask else 0
         memo = memos[s]
-        image = memo.get(key)
-        if image is None:
+        found = memo.get(mask)
+        if found is None:
             back = preimages[s]
-            image = 0
-            rest = key
+            found = 0
+            rest = mask
             while rest:
                 low = rest & -rest
-                image |= back[low.bit_length() - 1]
+                found |= back[low.bit_length() - 1]
                 rest ^= low
-            memo[key] = image
-        masks[up[p]] &= image
+            memo[mask] = found
+        return found
+
+    masks = [0] * n
+    masks[0] = 1 << t2.start
+    for p in range(1, n):
+        mask = image(masks[up[p]], label[p] ^ 1)
+        if not mask and _early_exit:
+            masks[0] = 0
+            return masks
+        masks[p] = mask
+    masks[tr.position[t1.end]] &= 1 << t2.end
+    for p in range(n - 1, 0, -1):
+        mask = masks[p]
+        if not mask and _early_exit:
+            masks[0] = 0
+            return masks
+        masks[up[p]] &= image(mask, label[p])
     return masks
 
 
 def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> CandidateSets:
-    """The fully filtered candidate sets for maps from ``t1`` into ``t2``."""
+    """The candidate sets for maps from ``t1`` into ``t2`` after the forward
+    and the backward pass: each lies in D(p) and has passed every child's
+    filter, so ``masks[0]`` is not 0 exactly when a morphism exists."""
     _check_alphabets(t1, t2)
     return CandidateSets(_propagate(t1, t2), t2.vertex_count)
 
@@ -129,8 +144,8 @@ def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> CandidateSets:
 def exists_morphism(t1: SigmaTree, t2: SigmaTree) -> bool:
     """True iff there is a morphism from ``t1`` to ``t2``.
 
-    Runs the propagation pass, stopping at the first empty candidate set,
-    and answers from the start vertex's candidate set.
+    Runs the two propagation passes, stopping at the first empty candidate
+    set, and answers from the start vertex's candidate set.
     """
     _check_alphabets(t1, t2)
     return _propagate(t1, t2, _early_exit=True)[0] != 0
@@ -156,7 +171,7 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
         # Candidates that an edge labelled label[p] reaches from the parent's
         # image: the reverse label's preimage of that image.
         fit = masks[p] & preimages[label[p] ^ 1][mapping[order[up[p]]]]
-        # The propagation pass guarantees a supported candidate here.
+        # The propagation passes guarantee a supported candidate here.
         if not fit:
             raise RuntimeError(f"no supported candidate at traversal position {p}")
         mapping[order[p]] = (fit & -fit).bit_length() - 1
@@ -186,7 +201,15 @@ def exists_morphism_bruteforce(t1: SigmaTree, t2: SigmaTree) -> bool:
 
 
 def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
-    """Yield the vertex map of every morphism from t1 to t2 (small inputs)."""
+    """Yield the vertex map of every morphism from t1 to t2 (small inputs).
+
+    Backtracking over traversal positions with an explicit stack: ``tried[k]``
+    is how far the scan for position k's image has gone through the target
+    edges with the signed label of its edge in.  An image fits when that
+    edge leads to it from the parent's image (and it is the target's end
+    when position k holds the source's end).  Maps come in lexicographic
+    order of those edge choices.
+    """
     _check_alphabets(t1, t2)
     tr = t1._traversal
     n = t1.vertex_count
@@ -200,24 +223,29 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
         k = 2 * index[letter]
         groups[k].append((s, t))
         groups[k + 1].append((t, s))
-    end1, end2 = t1.end, t2.end
-    mapping = [-1] * n
-
-    def place(k: int) -> Iterator[tuple[int, ...]]:
-        if k == n:
-            yield tuple(mapping)
-            return
-        v = order[k]
-        src = mapping[order[up[k]]]
-        for x, y in groups[label[k]]:
-            if x != src:
-                continue
-            if v == end1 and y != end2:
-                continue
-            mapping[v] = y
-            yield from place(k + 1)
-
     if t1.start == t1.end and t2.start != t2.end:
         return
+    end_at, end2 = tr.position[t1.end], t2.end
+    mapping = [-1] * n
     mapping[t1.start] = t2.start
-    yield from place(1)
+    tried = [0] * n
+    k = 1
+    while k:
+        if k == n:
+            yield tuple(mapping)
+            k -= 1
+            continue
+        pairs = groups[label[k]]
+        src = mapping[order[up[k]]]
+        i = tried[k]
+        while i < len(pairs):
+            x, y = pairs[i]
+            i += 1
+            if x == src and (k != end_at or y == end2):
+                mapping[order[k]] = y
+                tried[k] = i
+                k += 1
+                break
+        else:
+            tried[k] = 0
+            k -= 1

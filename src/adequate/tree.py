@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
@@ -124,15 +123,6 @@ class SigmaTree:
             pre[k][t] |= 1 << s
             pre[k + 1][s] |= 1 << t
         return pre
-
-    @cached_property
-    def _supports(self) -> list[int]:
-        # Per signed label: the mask of every y whose preimage under it is
-        # not 0, i.e. every y that an edge so labelled leads to.  The union
-        # of a label's preimages is every x such an edge leaves, which is
-        # the support of the reverse label.
-        pre = self._preimages
-        return [reduce(or_, pre[s ^ 1], 0) for s in range(len(pre))]
 
     @cached_property
     def _traversal(self) -> _Walk:

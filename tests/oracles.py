@@ -3,9 +3,11 @@
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
 descendant sets come from explicit path enumeration.  The parser, the
-evaluators, the admissibility walk, the traversal and the propagation pass
-that the library replaced with faster code are kept here as differential
-references; the faster code must give identical results.
+evaluators, the admissibility walk, the traversal, the propagation pass and
+the recursive morphism enumeration that the library replaced with faster
+code are kept here as differential references; the faster code must give
+identical results.  The propagation pass now also runs a forward pass, so
+its masks are the reference pass's ANDed with ``forward_reach``.
 """
 
 from __future__ import annotations
@@ -217,8 +219,12 @@ def ensure_admissible_by_walk(formula: Formula, mode: Mode) -> None:
 def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
     """Reference candidate-set pass that recomputes every image.
 
-    It reads the public traversal view of ``t1`` and groups the edges of
-    ``t2`` by ``SignedLabel`` itself, so it shares no index with the library.
+    From full masks, cut to the target's start and end, each position in
+    reverse preorder ANDs in, per child, the sources of the edges whose
+    label and direction match the child's and whose head is a candidate of
+    the child.  It reads the public traversal view of ``t1`` and groups the
+    edges of ``t2`` by ``SignedLabel`` itself, so it shares no index with
+    the library.
     """
     tr = traversal(t1)
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
@@ -229,18 +235,6 @@ def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
     for label, s, t in t2.edges:
         groups[SignedLabel(label, False)].append((s, t))
         groups[SignedLabel(label, True)].append((t, s))
-    if t2.vertex_count <= 64:
-        for p in range(t1.vertex_count - 1, -1, -1):
-            bp = masks[p]
-            for cp, slab in children[p]:
-                bc = masks[cp]
-                bstar = 0
-                for x, y in groups.get(slab, ()):
-                    if (bc >> y) & 1:
-                        bstar |= 1 << x
-                bp &= bstar
-            masks[p] = bp
-        return masks
     nbytes = (t2.vertex_count + 7) // 8
     for p in range(t1.vertex_count - 1, -1, -1):
         bp = masks[p]
@@ -253,6 +247,64 @@ def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
             bp &= int.from_bytes(buf, "little")
         masks[p] = bp
     return masks
+
+
+def forward_reach(t1: SigmaTree, t2: SigmaTree) -> list[int]:
+    """Per traversal position p of ``t1``, the mask of D(p): every vertex of
+    ``t2`` reached from its start by reading p's path word from the start.
+
+    Each vertex's word is read off the public traversal view of ``t1`` and
+    walked through ``t2.edges`` letter by letter on its own, sharing nothing
+    with the words of other vertices or with the library's indexes.
+    """
+    tr = traversal(t1)
+    step = defaultdict(list)
+    for label, s, t in t2.edges:
+        step[SignedLabel(label, False), s].append(t)
+        step[SignedLabel(label, True), t].append(s)
+    reach = []
+    for v in tr.order:
+        word = []
+        while tr.parent[v] is not None:
+            v, slab = tr.parent[v]
+            word.append(slab)
+        current = {t2.start}
+        for slab in reversed(word):
+            current = {y for x in current for y in step[slab, x]}
+        reach.append(sum(1 << y for y in current))
+    return reach
+
+
+def all_morphisms_recursive(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
+    """Reference enumeration: the recursive backtracker, one generator per
+    level, that the library replaced with an explicit stack.  Yields every
+    morphism's vertex map in the same order."""
+    tr = traversal(t1)
+    n = t1.vertex_count
+    order = tr.order
+    pairs = edge_pairs(t2)
+    end1, end2 = t1.end, t2.end
+    mapping = [-1] * n
+
+    def place(k: int) -> Iterator[tuple[int, ...]]:
+        if k == n:
+            yield tuple(mapping)
+            return
+        v = order[k]
+        parent, slab = tr.parent[v]
+        src = mapping[parent]
+        for x, y in pairs[2 * t2.alphabet.index(slab.letter) + slab.reverse]:
+            if x != src:
+                continue
+            if v == end1 and y != end2:
+                continue
+            mapping[v] = y
+            yield from place(k + 1)
+
+    if t1.start == t1.end and t2.start != t2.end:
+        return
+    mapping[t1.start] = t2.start
+    yield from place(1)
 
 
 def edge_pairs(tree: SigmaTree) -> list[list[tuple[int, int]]]:

@@ -11,12 +11,15 @@ from adequate import (
     Edge,
     SigmaTree,
     base_tree,
+    canonical_word,
     candidate_sets,
+    equal,
     evaluate,
     exists_morphism,
     exists_morphism_bruteforce,
     extract_morphism,
     is_morphism,
+    minimal_retract_bruteforce,
     parse,
     traversal,
     prune,
@@ -25,9 +28,15 @@ from adequate import (
     unpruned_product,
 )
 from adequate import homomorphism
-from adequate.generate import random_relabelling, random_tree
-from adequate.homomorphism import _propagate
-from oracles import edge_pairs, extract_morphism_by_scan, propagate_unmemoised
+from adequate.generate import enumerate_trees, random_relabelling, random_tree
+from adequate.homomorphism import _all_morphisms, _propagate
+from oracles import (
+    all_morphisms_recursive,
+    edge_pairs,
+    extract_morphism_by_scan,
+    forward_reach,
+    propagate_unmemoised,
+)
 from strategies import trees
 
 
@@ -131,6 +140,26 @@ def test_candidate_sets_api(ab):
     assert sets.members(0) == [0]
 
 
+def _reference_masks(t1, t2):
+    # The backward pass from full masks, cut to every position's forward
+    # reach D(p), both computed by the reference oracles.
+    return [a & b for a, b in zip(propagate_unmemoised(t1, t2), forward_reach(t1, t2))]
+
+
+def _check_passes(t1, t2):
+    # The full pass gives the reference masks; the early-exit pass gives
+    # them too whenever it keeps the start's mask, and rejects otherwise.
+    expected = _reference_masks(t1, t2)
+    full = _propagate(t1, t2)
+    assert full == expected
+    early = _propagate(t1, t2, _early_exit=True)
+    if expected[0]:
+        assert early == expected
+    else:
+        assert early[0] == 0
+    return full
+
+
 def test_propagate_matches_unmemoised_on_wide_targets(ab):
     rng = Random(20241)
     outcomes = set()
@@ -144,12 +173,11 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
             (x, random_tree(rng, rng.randrange(64, 800), ab)),
         ]
         for t1, t2 in pairs:
-            masks = _propagate(t1, t2)
-            assert masks == propagate_unmemoised(t1, t2)
+            masks = _check_passes(t1, t2)
             outcomes.add(masks[0] != 0)
     big = random_tree(rng, 3199, ab)
     assert big.vertex_count == 3200
-    assert _propagate(big, big) == propagate_unmemoised(big, big)
+    _check_passes(big, big)
     assert outcomes == {False, True}
     # Targets that never use the source's letter c: every image along c is 0.
     abc = Alphabet.from_string("abc")
@@ -157,8 +185,7 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
     for _ in range(6):
         t1 = random_tree(rng, rng.randrange(20, 400), abc)
         t2 = _over(abc, random_tree(rng, rng.randrange(64, 400), ab))
-        masks = _propagate(t1, t2)
-        assert masks == propagate_unmemoised(t1, t2)
+        masks = _check_passes(t1, t2)
         for p, kids in enumerate(traversal(t1).children):
             if any(slab.letter == "c" for _, slab in kids):
                 assert masks[p] == 0
@@ -168,7 +195,7 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
     for _ in range(6):
         t2 = _relabelled(random_tree(rng, rng.randrange(64, 400), ab), "a")
         for t1 in (t2, random_relabelling(rng, t2), random_tree(rng, rng.randrange(200), ab)):
-            assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
+            _check_passes(t1, t2)
     # 65 target vertices, one more than a 64-bit mask holds.
     narrowest = {False: 0, True: 0}
     for _ in range(40):
@@ -182,19 +209,17 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
             random_tree(rng, rng.randrange(200), ab),
             unpruned_product(unpruned_plus(random_tree(rng, rng.randrange(4), ab)), t2),
         ):
-            masks = _propagate(t1, t2)
-            assert masks == propagate_unmemoised(t1, t2)
+            masks = _check_passes(t1, t2)
             narrowest[masks[0] != 0] += 1
         t1, t2 = random_tree(rng, rng.randrange(100), abc), _over(abc, t2)
-        assert _propagate(t1, t2) == propagate_unmemoised(t1, t2)
+        _check_passes(t1, t2)
     assert min(narrowest.values()) >= 40
 
 
 def test_propagate_matches_unmemoised_on_narrow_targets(ab):
     # Targets of 1-65 vertices, the sizes of small queries: every size, and
     # 64 and 65 (the last that a 64-bit mask holds and the first it does not)
-    # eight more times.  The early-exit pass must agree with the full one
-    # whenever it keeps the start's mask.
+    # eight more times.
     rng = Random(20247)
     abc = Alphabet.from_string("abc")
     outcomes = {False: 0, True: 0}
@@ -212,12 +237,7 @@ def test_propagate_matches_unmemoised_on_narrow_targets(ab):
         pairs = [(t1, t2) for t1 in sources]
         pairs.append((random_tree(rng, rng.randrange(30), abc), _over(abc, t2)))
         for t1, target in pairs:
-            full = _propagate(t1, target)
-            assert full == propagate_unmemoised(t1, target)
-            early = _propagate(t1, target, _early_exit=True)
-            assert (early[0] != 0) == (full[0] != 0)
-            if early[0]:
-                assert early == full
+            full = _check_passes(t1, target)
             outcomes[full[0] != 0] += 1
     assert min(outcomes.values()) >= 100
 
@@ -247,27 +267,93 @@ def test_preimages_match_edge_groups(ab):
             assert pairs == set(groups[s])
 
 
-def test_supports_match_edge_groups(ab):
-    # Bit y of a label's support is set iff an edge so labelled leads to y,
-    # and the union of the label's preimages is the reverse label's support.
+def test_forward_reach_bounds_masks(ab):
+    # D(p) holds p itself when a tree maps to itself, and every final mask
+    # lies inside D(p); a path word with a letter the target lacks reaches
+    # nothing, so its mask is 0.
     rng = Random(20246)
     abc = Alphabet.from_string("abc")
     cases = [random_tree(rng, n, ab) for n in (0, 1, 2, 64, 65, 300)]
     cases += [random_tree(rng, rng.randrange(301), abc) for _ in range(12)]
-    # Over abc with no c-edge: both c supports are 0.
+    # Over abc with no c-edge: every image along c is 0.
     cases += [_over(abc, random_tree(rng, rng.randrange(301), ab)) for _ in range(12)]
+    c_words = 0
     for tree in cases:
-        groups = edge_pairs(tree)
-        supports = tree._supports
-        letters = tree.alphabet.letters
-        assert len(supports) == 2 * len(letters)  # one entry per signed label
-        for s, support in enumerate(supports):
-            heads = {y for _, y in groups[s]}
-            assert support == sum(1 << y for y in heads)
-            union = 0
-            for mask in tree._preimages[s]:
-                union |= mask
-            assert union == supports[s ^ 1]  # the reverse label's support
+        order = traversal(tree).order
+        reach = forward_reach(tree, tree)
+        masks = _propagate(tree, tree)
+        for p, v in enumerate(order):
+            assert (reach[p] >> v) & 1 and (masks[p] >> v) & 1
+            assert masks[p] & ~reach[p] == 0
+        source = random_tree(rng, rng.randrange(100), tree.alphabet)
+        reach = forward_reach(source, tree)
+        masks = _propagate(source, tree)
+        assert all(m & ~d == 0 for m, d in zip(masks, reach))
+        if not any(label == "c" for label, _, _ in tree.edges):
+            tr = traversal(source)
+            for p, v in enumerate(tr.order):
+                word = []
+                while tr.parent[v] is not None:
+                    v, slab = tr.parent[v]
+                    word.append(slab.letter)
+                if "c" in word:
+                    assert reach[p] == masks[p] == 0
+                    c_words += 1
+    assert c_words > 0
+
+
+def _shapes(k):
+    # Trees whose forward reach is wide: stars of like-labelled leaves out
+    # of and into the start, nested loops, a chain, and a chain with an
+    # in-leaf at every vertex.
+    return [
+        "(a)+" * k,
+        "(a)*" * k,
+        "(a" * k + ")+" * k,
+        "a" * k,
+        "(a)*a" * k,
+    ]
+
+
+def test_wide_reach_shapes(ab):
+    # One-letter shapes whose candidate sets have many bits, so images go
+    # through the memo.  Masks match the reference for every pair of shapes
+    # of one size, the word problem and pruning agree with the oracles.
+    memo_images = 0
+    for k in (1, 2, 3, 40, 400):
+        texts = _shapes(k)
+        trees = [evaluate(parse(text, ab)) for text in texts]
+        for text in texts:
+            assert equal(parse(text, ab), parse(text, ab))
+        pairs = [(x, y) for x in trees for y in trees] if k <= 40 else list(zip(trees, trees))
+        for t1, t2 in pairs:
+            masks = _check_passes(t1, t2)
+            memo_images += sum(m & (m - 1) != 0 for m in masks)
+        if k <= 3:
+            for tree in trees:
+                assert canonical_word(prune(tree).tree) == canonical_word(
+                    minimal_retract_bruteforce(tree)
+                )
+    assert equal(parse("(a)+" * 400, ab), parse("(a)+", ab))
+    assert equal(parse("(a)*" * 400, ab), parse("(a)*", ab))
+    assert not equal(parse("(a)+" * 400, ab), parse("(a)*" * 400, ab))
+    assert memo_images > 1000
+
+
+def test_all_morphisms_matches_recursive_enumeration(ab):
+    # The explicit-stack backtracker yields the same vertex maps in the same
+    # order as the recursive one, on every tree of at most 4 edges mapped to
+    # itself and on every pair with one tree from a stride of the corpus.
+    corpus = enumerate_trees(4, ab)
+    pairs = [(t, t) for t in corpus]
+    for x in corpus[::375]:
+        pairs += [(x, y) for y in corpus] + [(y, x) for y in corpus]
+    found = 0
+    for t1, t2 in pairs:
+        maps = list(_all_morphisms(t1, t2))
+        assert maps == list(all_morphisms_recursive(t1, t2))
+        found += len(maps) > 1
+    assert found > 1000
 
 
 def test_wide_targets_match_bruteforce(ab):

@@ -156,8 +156,9 @@ def test_algebraic_laws_on_random_operands(ab):
 
 
 def test_prune_matches_unmemoised_propagation_on_wide_trees(ab, monkeypatch):
-    # Pruning's self-propagation takes the wide branch on these trees; the
-    # reference pass must give the same prune JSON and canonical words.
+    # The reference pass runs no forward pass, so its masks can be wider
+    # than the library's; pruning must still give the same JSON and
+    # canonical words.
     rng = Random(20250)
     cases = []
     for _ in range(6):
