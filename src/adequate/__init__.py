@@ -3,10 +3,16 @@
 Elements are represented as birooted edge-labelled trees.  The package
 provides the formula language, tree evaluation, morphism testing, pruning to
 minimal retracts, canonical normal forms, and top-level word-problem and
-identity-checking procedures, plus brute-force oracles for all of it.
+identity-checking procedures.
+
+``import adequate`` loads only that decision pipeline.  The seeded instance
+generators (``adequate.generate``) load on first use, and so do the
+brute-force oracles that judge the pipeline on small inputs
+(``adequate.oracles``).  Both still resolve as attributes of this package,
+but only the generators are listed in ``__all__``.
 """
 
-from .canonical import canonical_formula, canonical_word, evaluate_roundtrip_check
+from .canonical import canonical_formula, canonical_word
 from .errors import (
     AlphabetMismatch,
     BadVertexId,
@@ -34,20 +40,17 @@ from .formula import (
     parse,
     render,
 )
-from .generate import enumerate_trees, random_formula, random_relabelling, random_tree
 from .homomorphism import (
     CandidateSets,
     VertexMorphism,
     candidate_sets,
     exists_morphism,
-    exists_morphism_bruteforce,
     extract_morphism,
     is_morphism,
 )
 from .pruning import (
     PrunedWitness,
     is_pruned,
-    minimal_retract_bruteforce,
     prune,
     pruned_plus,
     pruned_product,
@@ -88,6 +91,29 @@ from .tree import (
 )
 
 __version__ = "0.1.0"
+
+# Names loaded on first access (PEP 562), by the submodule that defines them.
+_LAZY = {
+    "enumerate_trees": "generate",
+    "random_formula": "generate",
+    "random_relabelling": "generate",
+    "random_tree": "generate",
+    "evaluate_roundtrip_check": "oracles",
+    "exists_morphism_bruteforce": "oracles",
+    "minimal_retract_bruteforce": "oracles",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "Alphabet",
@@ -132,15 +158,12 @@ __all__ = [
     "enumerate_trees",
     "equal",
     "evaluate",
-    "evaluate_roundtrip_check",
     "exists_morphism",
-    "exists_morphism_bruteforce",
     "extract_morphism",
     "from_json",
     "is_idempotent",
     "is_morphism",
     "is_pruned",
-    "minimal_retract_bruteforce",
     "normal_form",
     "occurrence_count",
     "occurring_letters",

@@ -14,8 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .formula import Formula, parse
-from .homomorphism import exists_morphism
-from .tree import SigmaTree, evaluate, trunk
+from .tree import SigmaTree, trunk
 
 
 def canonical_word(tree: SigmaTree) -> str:
@@ -74,17 +73,3 @@ def canonical_word(tree: SigmaTree) -> str:
 def canonical_formula(tree: SigmaTree) -> Formula:
     """The canonical word as a parsed formula."""
     return parse(canonical_word(tree), tree.alphabet)
-
-
-def evaluate_roundtrip_check(tree: SigmaTree) -> bool:
-    """True iff the canonical formula evaluates back to the same tree.
-
-    Sameness is established without invoking the canonical word again: equal
-    vertex counts plus morphisms both ways.
-    """
-    again = evaluate(canonical_formula(tree))
-    return (
-        again.vertex_count == tree.vertex_count
-        and exists_morphism(again, tree)
-        and exists_morphism(tree, again)
-    )

@@ -9,33 +9,15 @@ text.
 
 from __future__ import annotations
 
-import argparse
-import json
-import math
 import sys
-import time
-from random import Random
 
-from .canonical import canonical_word
 from .errors import Error
 from .formula import Alphabet, parse, render
-from .generate import enumerate_trees, random_tree
-from .homomorphism import (
-    exists_morphism,
-    exists_morphism_bruteforce,
-    extract_morphism,
-)
-from .pruning import minimal_retract_bruteforce, prune
-from .solver import (
-    KNOWN_IDENTITIES,
-    KNOWN_NON_IDENTITIES,
-    Mode,
-    Sidedness,
-    _identity_alphabet,
-    check_identity,
-    equal,
-    normal_form,
-)
+# ``exists_morphism`` has no caller here; ``benchmark/spans.py`` traces it by
+# this name, as it does the other library functions imported here.
+from .homomorphism import exists_morphism, extract_morphism
+from .pruning import prune
+from .solver import Mode, Sidedness, _identity_alphabet, check_identity, equal, normal_form
 from .tree import SigmaTree, evaluate, from_json, to_dot, to_json
 
 _SIDEDNESS = {
@@ -46,6 +28,8 @@ _SIDEDNESS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="adequate",
         description="Word problem, normal forms and identity checking in free "
@@ -169,6 +153,8 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_morph(args) -> int:
+    import json
+
     alphabet = Alphabet.from_string(args.alphabet)
     mode = _mode_from_args(args)
     source = _tree_or_formula(args.source, alphabet, mode)
@@ -194,6 +180,10 @@ def _cmd_check_identity(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from random import Random
+
+    from .generate import random_tree
+
     alphabet = Alphabet.from_string(args.alphabet)
     if args.edges < 0:
         raise ValueError("--edges must be non-negative")
@@ -202,45 +192,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def run_bench(
-    sizes: list[int], reps: int, alphabet: Alphabet, seed: int = 0
-) -> tuple[list[tuple[int, float, float]], float, float]:
-    """Mean eq and prune times per size, plus fitted log-log slopes."""
-    rng = Random(seed)
-    mode = Mode()
-    rows = []
-    for size in sizes:
-        eq_times = []
-        prune_times = []
-        for _ in range(reps):
-            s1 = canonical_word(random_tree(rng, size, alphabet))
-            s2 = canonical_word(random_tree(rng, size, alphabet))
-            started = time.perf_counter()
-            equal(parse(s1, alphabet, mode), parse(s2, alphabet, mode), mode)
-            eq_times.append(time.perf_counter() - started)
-            target = random_tree(rng, size, alphabet)
-            started = time.perf_counter()
-            prune(target)
-            prune_times.append(time.perf_counter() - started)
-        rows.append((size, sum(eq_times) / reps, sum(prune_times) / reps))
-    slope_eq = _loglog_slope([(s, t) for s, t, _ in rows])
-    slope_prune = _loglog_slope([(s, t) for s, _, t in rows])
-    return rows, slope_eq, slope_prune
-
-
-def _loglog_slope(points: list[tuple[int, float]]) -> float:
-    xs = [math.log(s) for s, _ in points]
-    ys = [math.log(max(t, 1e-9)) for _, t in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        return 0.0
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return cov / var
-
-
 def _cmd_bench(args) -> int:
+    from .bench import run_bench
+
     if args.reps <= 0:
         raise ValueError("--reps must be positive")
     sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
@@ -255,67 +209,9 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def run_selftest(alphabet: Alphabet, seed: int = 0, out=print) -> bool:
-    """Small oracle-equivalence and identity suites; True when all pass."""
-    from .canonical import canonical_formula  # local: avoids import on other commands
-
-    rng = Random(seed)
-    ok = True
-
-    trees = enumerate_trees(2, alphabet)
-    bad = sum(
-        1
-        for t1 in trees
-        for t2 in trees
-        if exists_morphism(t1, t2) != exists_morphism_bruteforce(t1, t2)
-    )
-    pairs = len(trees) ** 2
-    for _ in range(300):
-        t1 = random_tree(rng, rng.randrange(8), alphabet)
-        t2 = random_tree(rng, rng.randrange(8), alphabet)
-        pairs += 1
-        if exists_morphism(t1, t2) != exists_morphism_bruteforce(t1, t2):
-            bad += 1
-    ok &= bad == 0
-    out(f"morphism-oracle: {pairs} pairs, {bad} disagreements")
-
-    bad = 0
-    cases = 0
-    for tree in trees:
-        cases += 1
-        if canonical_formula(prune(tree).tree) != canonical_formula(
-            minimal_retract_bruteforce(tree)
-        ):
-            bad += 1
-    for _ in range(200):
-        tree = random_tree(rng, rng.randrange(7), alphabet)
-        cases += 1
-        if canonical_formula(prune(tree).tree) != canonical_formula(
-            minimal_retract_bruteforce(tree)
-        ):
-            bad += 1
-    ok &= bad == 0
-    out(f"pruning-oracle: {cases} trees, {bad} disagreements")
-
-    mode = Mode()
-    failures = 0
-    for lhs, rhs in KNOWN_IDENTITIES:
-        letters = _identity_alphabet(lhs, rhs)
-        if not check_identity(parse(lhs, letters, mode), parse(rhs, letters, mode), mode):
-            failures += 1
-    for lhs, rhs in KNOWN_NON_IDENTITIES:
-        letters = _identity_alphabet(lhs, rhs)
-        if check_identity(parse(lhs, letters, mode), parse(rhs, letters, mode), mode):
-            failures += 1
-    ok &= failures == 0
-    out(
-        f"identity-suite: {len(KNOWN_IDENTITIES) + len(KNOWN_NON_IDENTITIES)} entries, "
-        f"{failures} failures"
-    )
-    return ok
-
-
 def _cmd_selftest(args) -> int:
+    from .bench import run_selftest
+
     alphabet = Alphabet.from_string(args.alphabet)
     return 0 if run_selftest(alphabet, args.seed) else 1
 

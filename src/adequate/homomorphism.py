@@ -24,7 +24,7 @@ up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import AlphabetMismatch
 from .tree import SigmaTree
@@ -189,63 +189,3 @@ def is_morphism(t1: SigmaTree, t2: SigmaTree, mapping: tuple[int, ...]) -> bool:
         return False
     edge_set = frozenset(t2.edges)
     return all((l, mapping[s], mapping[t]) in edge_set for l, s, t in t1.edges)
-
-
-def exists_morphism_bruteforce(t1: SigmaTree, t2: SigmaTree) -> bool:
-    """Oracle: plain backtracking over start/end-respecting edge-compatible maps.
-
-    Intended for small inputs (say a dozen vertices); exponential in the
-    worst case.
-    """
-    return next(_all_morphisms(t1, t2), None) is not None
-
-
-def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
-    """Yield the vertex map of every morphism from t1 to t2 (small inputs).
-
-    Backtracking over traversal positions with an explicit stack: ``tried[k]``
-    is how far the scan for position k's image has gone through the target
-    edges with the signed label of its edge in.  An image fits when that
-    edge leads to it from the parent's image (and it is the target's end
-    when position k holds the source's end).  Maps come in lexicographic
-    order of those edge choices.
-    """
-    _check_alphabets(t1, t2)
-    tr = t1._traversal
-    n = t1.vertex_count
-    order, up, label = tr.order, tr.up, tr.label
-    # Per signed label, in edge order: pairs (x, y) such that there is an
-    # edge so labelled from x to y.  Built here so that the oracle shares no
-    # target index with the propagation pass it judges.
-    index = t2.alphabet._index
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(index))]
-    for letter, s, t in t2.edges:
-        k = 2 * index[letter]
-        groups[k].append((s, t))
-        groups[k + 1].append((t, s))
-    if t1.start == t1.end and t2.start != t2.end:
-        return
-    end_at, end2 = tr.position[t1.end], t2.end
-    mapping = [-1] * n
-    mapping[t1.start] = t2.start
-    tried = [0] * n
-    k = 1
-    while k:
-        if k == n:
-            yield tuple(mapping)
-            k -= 1
-            continue
-        pairs = groups[label[k]]
-        src = mapping[order[up[k]]]
-        i = tried[k]
-        while i < len(pairs):
-            x, y = pairs[i]
-            i += 1
-            if x == src and (k != end_at or y == end2):
-                mapping[order[k]] = y
-                tried[k] = i
-                k += 1
-                break
-        else:
-            tried[k] = 0
-            k -= 1

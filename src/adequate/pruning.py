@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homomorphism import _all_morphisms, _propagate
+from .homomorphism import _propagate
 from .tree import SigmaTree, unpruned_plus, unpruned_product, unpruned_star
 
 
@@ -114,31 +114,3 @@ def pruned_star(x: SigmaTree) -> SigmaTree:
 def is_pruned(tree: SigmaTree) -> bool:
     """True iff no vertex can be pruned away."""
     return len(pruned_vertex_set(tree)) == tree.vertex_count
-
-
-def minimal_retract_bruteforce(tree: SigmaTree) -> SigmaTree:
-    """Oracle: enumerate idempotent self-morphisms, keep a minimal image.
-
-    Repeats until only the identity remains, so the result admits no proper
-    retraction.  Exponential; intended for trees of at most a few edges.
-    """
-    current = tree
-    while True:
-        n = current.vertex_count
-        best = None
-        for mapping in _all_morphisms(current, current):
-            idempotent = True
-            for v in range(n):
-                if mapping[mapping[v]] != mapping[v]:
-                    idempotent = False
-                    break
-            if not idempotent:
-                continue
-            image = tuple(sorted(set(mapping)))
-            key = (len(image), image, mapping)
-            if best is None or key < best:
-                best = key
-        image = best[1]
-        if len(image) == n:
-            return current
-        current = _induced_subtree(current, image)

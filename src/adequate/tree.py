@@ -9,7 +9,6 @@ the same abstract value.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
@@ -355,6 +354,8 @@ def descendants(tree: SigmaTree, u: int) -> frozenset[int]:
 
 def to_json(tree: SigmaTree) -> str:
     """Canonical JSON form; field order and edge order are fixed."""
+    import json
+
     obj = {
         "alphabet": str(tree.alphabet),
         "n": tree.vertex_count,
@@ -372,6 +373,8 @@ def from_json(text: str) -> SigmaTree:
     integers (booleans are not), and labels one-character strings; anything
     else raises ``ValueError``.
     """
+    import json
+
     obj = json.loads(text)
     try:
         letters, n, start, end = obj["alphabet"], obj["n"], obj["start"], obj["end"]

@@ -34,7 +34,6 @@ from adequate import (
     VertexMorphism,
     base_tree,
     evaluate,
-    exists_morphism_bruteforce,
     parse,
     traversal,
     trivial_tree,
@@ -43,6 +42,7 @@ from adequate import (
     unpruned_product,
     unpruned_star,
 )
+from adequate.oracles import exists_morphism_bruteforce
 from adequate.solver import _identity_alphabet
 
 

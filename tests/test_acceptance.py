@@ -16,24 +16,26 @@ from adequate import (
     check_identity,
     equal,
     evaluate,
-    evaluate_roundtrip_check,
     exists_morphism,
-    exists_morphism_bruteforce,
-    minimal_retract_bruteforce,
     normal_form,
     occurrence_count,
     parse,
     prune,
     render,
 )
+from adequate.bench import run_bench
 from adequate.canonical import canonical_formula
-from adequate.cli import run_bench
 from adequate.formula import Formula, Unary
 from adequate.generate import (
     enumerate_trees,
     random_formula,
     random_relabelling,
     random_tree,
+)
+from adequate.oracles import (
+    evaluate_roundtrip_check,
+    exists_morphism_bruteforce,
+    minimal_retract_bruteforce,
 )
 from adequate.solver import KNOWN_IDENTITIES, KNOWN_NON_IDENTITIES, _identity_alphabet
 from oracles import oracle_equal_texts

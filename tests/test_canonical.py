@@ -10,12 +10,12 @@ from adequate import (
     canonical_formula,
     canonical_word,
     evaluate,
-    evaluate_roundtrip_check,
     parse,
     prune,
     render,
 )
 from adequate.generate import random_relabelling
+from adequate.oracles import evaluate_roundtrip_check
 from oracles import structural_key
 from strategies import trees
 

@@ -16,10 +16,8 @@ from adequate import (
     equal,
     evaluate,
     exists_morphism,
-    exists_morphism_bruteforce,
     extract_morphism,
     is_morphism,
-    minimal_retract_bruteforce,
     parse,
     traversal,
     prune,
@@ -29,7 +27,12 @@ from adequate import (
 )
 from adequate import homomorphism
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
-from adequate.homomorphism import _all_morphisms, _propagate
+from adequate.homomorphism import _propagate
+from adequate.oracles import (
+    _all_morphisms,
+    exists_morphism_bruteforce,
+    minimal_retract_bruteforce,
+)
 from oracles import (
     all_morphisms_recursive,
     edge_pairs,

@@ -1,0 +1,53 @@
+"""What ``import adequate`` loads, and where the names it defers come from."""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+
+import adequate
+from adequate import generate, oracles
+
+# Modules that no decision path needs: the generators, the oracles,
+# bench/selftest, and the standard modules only they or the CLI's option
+# parsing and JSON input use.
+DEFERRED = {"argparse", "heapq", "json", "adequate.bench", "adequate.generate", "adequate.oracles"}
+
+
+def test_import_loads_only_the_decision_pipeline():
+    # A fresh interpreter: what ``import adequate, adequate.cli`` adds to the
+    # modules a bare ``python -c`` start has already loaded.
+    src = os.path.dirname(os.path.dirname(adequate.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import adequate, adequate.cli\n"
+        "print(adequate.__file__)\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    where, added = proc.stdout.splitlines()
+    assert os.path.samefile(where, adequate.__file__)
+    assert sorted(DEFERRED & set(added.split())) == []
+
+
+def test_deferred_names_resolve_to_their_modules():
+    for name in ("enumerate_trees", "random_formula", "random_relabelling", "random_tree"):
+        assert getattr(adequate, name) is getattr(generate, name)
+        assert name in adequate.__all__
+    for name in ("evaluate_roundtrip_check", "exists_morphism_bruteforce", "minimal_retract_bruteforce"):
+        assert getattr(adequate, name) is getattr(oracles, name)
+        assert name not in adequate.__all__
+    from adequate import exists_morphism_bruteforce, random_tree
+
+    assert exists_morphism_bruteforce is oracles.exists_morphism_bruteforce
+    assert random_tree is generate.random_tree
+    assert not hasattr(adequate, "no_such_name")

@@ -10,7 +10,6 @@ from adequate import (
     evaluate,
     exists_morphism,
     is_pruned,
-    minimal_retract_bruteforce,
     parse,
     prune,
     pruned_plus,
@@ -26,6 +25,7 @@ from adequate import (
 )
 from adequate import pruning
 from adequate.generate import random_relabelling, random_tree
+from adequate.oracles import minimal_retract_bruteforce
 from oracles import propagate_unmemoised
 from strategies import trees
 
