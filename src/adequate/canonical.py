@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .formula import Formula, parse
+from .formula import Formula, _from_text
 from .tree import SigmaTree, trunk
 
 
@@ -71,5 +71,6 @@ def canonical_word(tree: SigmaTree) -> str:
 
 
 def canonical_formula(tree: SigmaTree) -> Formula:
-    """The canonical word as a parsed formula."""
-    return parse(canonical_word(tree), tree.alphabet)
+    """The canonical word as a formula, built from that text without
+    re-parsing it: the word is whitespace-free and ``parse`` accepts it."""
+    return _from_text(canonical_word(tree), tree.alphabet)

@@ -10,11 +10,11 @@ whitespace-free text, and the syntax nodes are built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
+from ._record import Frozen
 from .errors import (
     AlphabetMismatch,
     BareGroup,
@@ -36,23 +36,24 @@ class UnaryOp(Enum):
     STAR = "*"
 
 
-@dataclass(frozen=True)
-class Alphabet:
+class Alphabet(Frozen):
     """Ordered generator symbols; the order fixes the canonical word order."""
 
+    __match_args__ = ("letters",)
     letters: tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "letters", tuple(self.letters))
-        if not self.letters:
+    def __init__(self, letters):
+        letters = tuple(letters)
+        if not letters:
             raise ValueError("alphabet must not be empty")
         seen = set()
-        for ch in self.letters:
+        for ch in letters:
             if len(ch) != 1 or ch in RESERVED or ch.isspace() or not ch.isprintable():
                 raise ValueError(f"invalid generator {ch!r}")
             if ch in seen:
                 raise ValueError(f"duplicate generator {ch!r}")
             seen.add(ch)
+        self.__dict__.update(letters=letters)
 
     @classmethod
     def from_string(cls, text: str) -> "Alphabet":
@@ -95,30 +96,69 @@ class Alphabet:
         return word.translate(self._omega_table)
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(Frozen):
+    __match_args__ = ("letter",)
     letter: str
 
+    def __init__(self, letter):
+        self.__dict__.update(letter=letter)
 
-@dataclass(frozen=True)
-class Unary:
+
+class Unary(Frozen):
+    __match_args__ = ("op", "body")
     op: UnaryOp
     body: "Formula"
+
+    def __init__(self, op, body):
+        self.__dict__.update(op=op, body=body)
 
 
 Factor = Union[Letter, Unary]
 
 
-@dataclass(frozen=True, eq=False)
-class Formula:
+class _DataclassMetadata:
+    """``Formula.__dataclass_fields__`` or ``__dataclass_params__``, on demand.
+
+    ``dataclasses.fields``, ``replace`` and ``is_dataclass`` read these.  The
+    first read runs ``dataclass(frozen=True, eq=False)`` over a twin class
+    with only the owner's annotated fields and caches both of the twin's
+    attributes on the owner, so importing this module loads no
+    ``dataclasses``.
+    """
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type):
+        from dataclasses import dataclass
+
+        namespace = {
+            "__annotations__": dict(owner.__annotations__),
+            "__module__": owner.__module__,
+            "__qualname__": owner.__qualname__,
+        }
+        twin = dataclass(frozen=True, eq=False)(type(owner.__name__, (), namespace))
+        for name in ("__dataclass_fields__", "__dataclass_params__"):
+            setattr(owner, name, getattr(twin, name))
+        return getattr(owner, self.name)
+
+
+class Formula(Frozen):
     """Equal to another formula when both have the same alphabet and text.
 
     A parsed formula holds only its whitespace-free text and one built from
     ``factors`` only those; each derives the other once, on first read.
+    Formulas are the one public class that ``dataclasses`` still accepts.
     """
 
+    __match_args__ = ("factors", "alphabet")
     factors: tuple[Factor, ...]
     alphabet: Alphabet
+    __dataclass_fields__ = _DataclassMetadata()
+    __dataclass_params__ = _DataclassMetadata()
+
+    def __init__(self, factors, alphabet):
+        self.__dict__.update(factors=factors, alphabet=alphabet)
 
     def __getattr__(self, name: str):
         state = self.__dict__

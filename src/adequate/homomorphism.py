@@ -23,29 +23,31 @@ up.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
+from ._record import Frozen, Record
 from .errors import AlphabetMismatch
 from .tree import SigmaTree
 
 
-@dataclass(frozen=True)
-class VertexMorphism:
+class VertexMorphism(Frozen):
     """A morphism given by its vertex map; the edge map is induced.
 
     Between two fixed vertices of a tree there is at most one edge, so a
     vertex map that preserves labelled edges determines the edge map.
     """
 
+    __match_args__ = ("mapping",)
     mapping: tuple[int, ...]
+
+    def __init__(self, mapping):
+        self.__dict__.update(mapping=mapping)
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]
 
 
-@dataclass
-class CandidateSets:
+class CandidateSets(Record):
     """Candidate images per source vertex, in traversal position order.
 
     ``masks[p]`` has bit ``v`` set when target vertex ``v`` is still a
@@ -55,8 +57,14 @@ class CandidateSets:
     bits.  Every morphism maps p to a member.
     """
 
+    __match_args__ = ("masks", "target_count")
+    __hash__ = None  # mutable, as a dataclass that is not frozen
     masks: list[int]
     target_count: int
+
+    def __init__(self, masks, target_count):
+        self.masks = masks
+        self.target_count = target_count
 
     def contains(self, pos: int, v: int) -> bool:
         return (self.masks[pos] >> v) & 1 == 1

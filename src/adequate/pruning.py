@@ -10,14 +10,12 @@ branches; total time is quadratic in the vertex count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Frozen
 from .homomorphism import _propagate
 from .tree import SigmaTree, unpruned_plus, unpruned_product, unpruned_star
 
 
-@dataclass(frozen=True)
-class PrunedWitness:
+class PrunedWitness(Frozen):
     """Result of pruning: which input vertices survive and the compacted tree.
 
     ``embedding[new_id]`` is the original id of the kept vertex ``new_id``;
@@ -25,9 +23,13 @@ class PrunedWitness:
     is a deterministic function of the representation.
     """
 
+    __match_args__ = ("kept", "tree", "embedding")
     kept: frozenset[int]
     tree: SigmaTree
     embedding: tuple[int, ...]
+
+    def __init__(self, kept, tree, embedding):
+        self.__dict__.update(kept=kept, tree=tree, embedding=embedding)
 
 
 def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:

@@ -8,9 +8,9 @@ the occurring variables, so the same machinery answers both questions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Frozen
 from .canonical import canonical_formula
 from .errors import AlphabetMismatch, EmptyNotAllowed, OpNotInSignature
 from .formula import RESERVED, Alphabet, Formula, UnaryOp, parse, render
@@ -25,8 +25,7 @@ class Sidedness(Enum):
     TWO_SIDED = "two-sided"
 
 
-@dataclass(frozen=True)
-class Mode:
+class Mode(Frozen):
     """Variety selector: sidedness and semigroup-versus-monoid.
 
     The one-sided varieties admit a single unary operation: star on the left
@@ -35,9 +34,13 @@ class Mode:
     empty formula, whose value would be the identity element.
     """
 
-    sidedness: Sidedness = Sidedness.TWO_SIDED
-    semigroup: bool = False
-    swap_sided_ops: bool = False
+    __match_args__ = ("sidedness", "semigroup", "swap_sided_ops")
+    sidedness: Sidedness
+    semigroup: bool
+    swap_sided_ops: bool
+
+    def __init__(self, sidedness=Sidedness.TWO_SIDED, semigroup=False, swap_sided_ops=False):
+        self.__dict__.update(sidedness=sidedness, semigroup=semigroup, swap_sided_ops=swap_sided_ops)
 
     def allowed_ops(self) -> frozenset[UnaryOp]:
         if self.sidedness is Sidedness.TWO_SIDED:

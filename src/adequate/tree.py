@@ -9,10 +9,10 @@ the same abstract value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple, Optional
 
+from ._record import Frozen
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
 from .formula import Alphabet, Formula
 
@@ -42,8 +42,7 @@ class Trunk(NamedTuple):
     labels: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TraversalOrder:
+class TraversalOrder(Frozen):
     """Deterministic depth-first numbering of a tree, rooted at the start vertex.
 
     The public view that :func:`traversal` builds.  ``order[p]`` is the
@@ -55,11 +54,15 @@ class TraversalOrder:
     descendants.
     """
 
+    __match_args__ = ("order", "position", "parent", "children", "span")
     order: tuple[int, ...]
     position: tuple[int, ...]
     parent: tuple[Optional[tuple[int, SignedLabel]], ...]
     children: tuple[tuple[tuple[int, SignedLabel], ...], ...]
     span: tuple[tuple[int, int], ...]
+
+    def __init__(self, order, position, parent, children, span):
+        self.__dict__.update(order=order, position=position, parent=parent, children=children, span=span)
 
 
 class _Walk(NamedTuple):
@@ -72,8 +75,7 @@ class _Walk(NamedTuple):
     size: list[int]
 
 
-@dataclass(frozen=True)
-class SigmaTree:
+class SigmaTree(Frozen):
     """A birooted labelled tree over a fixed alphabet.
 
     Invariants (enforced by :func:`validate`, preserved by all operations):
@@ -85,11 +87,15 @@ class SigmaTree:
     reverse`` (its reverse is s ^ 1).
     """
 
+    __match_args__ = ("alphabet", "vertex_count", "start", "end", "edges")
     alphabet: Alphabet
     vertex_count: int
     start: int
     end: int
     edges: tuple[tuple[str, int, int], ...]
+
+    def __init__(self, alphabet, vertex_count, start, end, edges):
+        self.__dict__.update(alphabet=alphabet, vertex_count=vertex_count, start=start, end=end, edges=edges)
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
@@ -370,17 +376,22 @@ def from_json(text: str) -> SigmaTree:
     """Parse and validate the canonical JSON form.
 
     The alphabet must be a string, ``n``, ``start``, ``end``, ``s`` and ``t``
-    integers (booleans are not), and labels one-character strings; anything
-    else raises ``ValueError``.
+    integers (booleans are not), and labels one-character strings.  No object
+    may repeat a key, the tree may hold no key but ``alphabet``, ``n``,
+    ``start``, ``end`` and ``edges``, and an edge none but ``l``, ``s`` and
+    ``t``.  Anything else raises ``ValueError``.
     """
     import json
 
-    obj = json.loads(text)
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
     try:
         letters, n, start, end = obj["alphabet"], obj["n"], obj["start"], obj["end"]
         edges = [(e["l"], e["s"], e["t"]) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tree JSON: {exc!r}") from exc
+    _only_keys(obj, ("alphabet", "n", "start", "end", "edges"))
+    for e in obj["edges"]:
+        _only_keys(e, ("l", "s", "t"))
     if type(letters) is not str:
         raise ValueError("malformed tree JSON: the alphabet is not a string")
     if type(n) is not int or type(start) is not int or type(end) is not int:
@@ -391,6 +402,23 @@ def from_json(text: str) -> SigmaTree:
         if type(label) is not str or len(label) != 1:
             raise ValueError("malformed tree JSON: an edge label is not one character")
     return validate(n, start, end, edges, Alphabet.from_string(letters))
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # The JSON object hook: json.loads alone would keep a repeated key's last value.
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"malformed tree JSON: duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
+def _only_keys(obj: dict, known: tuple[str, ...]) -> None:
+    # Every known key has been read, so an object with more keys has another.
+    if len(obj) != len(known):
+        key = next(key for key in obj if key not in known)
+        raise ValueError(f"malformed tree JSON: unknown key {key!r}")
 
 
 def to_dot(tree: SigmaTree, name: str = "sigma_tree") -> str:

@@ -6,24 +6,30 @@ descendant sets come from explicit path enumeration.  The parser, the
 evaluators, the admissibility walk, the traversal, the propagation pass and
 the recursive morphism enumeration that the library replaced with faster
 code are kept here as differential references; the faster code must give
-identical results.  The propagation pass now also runs a forward pass, so
+identical results.  So are the dataclass definitions of the value classes,
+which the library replaced with plain classes that import no
+``dataclasses``.  The propagation pass now also runs a forward pass, so
 its masks are the reference pass's ANDed with ``forward_reach``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
 from adequate import (
     Alphabet,
     BareGroup,
+    CandidateSets,
     DanglingUnary,
     EmptyNotAllowed,
     Formula,
     Letter,
     Mode,
     OpNotInSignature,
+    PrunedWitness,
+    Sidedness,
     SigmaTree,
     SignedLabel,
     TraversalOrder,
@@ -42,6 +48,7 @@ from adequate import (
     unpruned_product,
     unpruned_star,
 )
+from adequate.formula import _render_factors
 from adequate.oracles import exists_morphism_bruteforce
 from adequate.solver import _identity_alphabet
 
@@ -444,3 +451,121 @@ def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
         tuple(tuple(c) for c in children),
         tuple(span),
     )
+
+
+# The dataclass definitions that the library's value classes replaced, with
+# what shapes their generated methods: the decorator, the fields in order,
+# ``Alphabet``'s tuple conversion and ``Formula``'s own equality.  Each keeps
+# the name of the class it stands for, so ``repr`` texts compare.
+
+
+@dataclass(frozen=True)
+class DataclassAlphabet:
+    __qualname__ = "Alphabet"
+    letters: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "letters", tuple(self.letters))
+
+
+@dataclass(frozen=True)
+class DataclassLetter:
+    __qualname__ = "Letter"
+    letter: str
+
+
+@dataclass(frozen=True)
+class DataclassUnary:
+    __qualname__ = "Unary"
+    op: UnaryOp
+    body: Formula
+
+
+@dataclass(frozen=True, eq=False)
+class DataclassFormula:
+    __qualname__ = "Formula"
+    factors: tuple
+    alphabet: Alphabet
+
+    def __getattr__(self, name: str):
+        if name != "_text":
+            raise AttributeError(name)
+        text = self.__dict__["_text"] = _render_factors(self.factors)
+        return text
+
+    def __eq__(self, other):
+        if type(other) is not DataclassFormula:
+            return NotImplemented
+        return self.alphabet == other.alphabet and self._text == other._text
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet, self._text))
+
+
+@dataclass(frozen=True)
+class DataclassVertexMorphism:
+    __qualname__ = "VertexMorphism"
+    mapping: tuple[int, ...]
+
+
+@dataclass
+class DataclassCandidateSets:
+    __qualname__ = "CandidateSets"
+    masks: list[int]
+    target_count: int
+
+
+@dataclass(frozen=True)
+class DataclassPrunedWitness:
+    __qualname__ = "PrunedWitness"
+    kept: frozenset[int]
+    tree: SigmaTree
+    embedding: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class DataclassMode:
+    __qualname__ = "Mode"
+    sidedness: Sidedness = Sidedness.TWO_SIDED
+    semigroup: bool = False
+    swap_sided_ops: bool = False
+
+
+@dataclass(frozen=True)
+class DataclassTraversalOrder:
+    __qualname__ = "TraversalOrder"
+    order: tuple[int, ...]
+    position: tuple[int, ...]
+    parent: tuple
+    children: tuple
+    span: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class DataclassSigmaTree:
+    __qualname__ = "SigmaTree"
+    alphabet: Alphabet
+    vertex_count: int
+    start: int
+    end: int
+    edges: tuple[tuple[str, int, int], ...]
+
+
+DATACLASS_REFERENCES = {
+    Alphabet: DataclassAlphabet,
+    Letter: DataclassLetter,
+    Unary: DataclassUnary,
+    Formula: DataclassFormula,
+    VertexMorphism: DataclassVertexMorphism,
+    CandidateSets: DataclassCandidateSets,
+    PrunedWitness: DataclassPrunedWitness,
+    Mode: DataclassMode,
+    TraversalOrder: DataclassTraversalOrder,
+    SigmaTree: DataclassSigmaTree,
+}
+
+
+def dataclass_reference(value):
+    """The reference dataclass instance that holds ``value``'s field values."""
+    cls = DATACLASS_REFERENCES[type(value)]
+    return cls(*(getattr(value, field.name) for field in fields(cls)))

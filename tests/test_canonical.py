@@ -5,6 +5,7 @@ from random import Random
 from hypothesis import given, settings
 
 from adequate import (
+    Alphabet,
     Unary,
     base_tree,
     canonical_formula,
@@ -14,7 +15,7 @@ from adequate import (
     prune,
     render,
 )
-from adequate.generate import random_relabelling
+from adequate.generate import enumerate_trees, random_relabelling, random_tree
 from adequate.oracles import evaluate_roundtrip_check
 from oracles import structural_key
 from strategies import trees
@@ -31,6 +32,19 @@ def test_examples(ab):
 def test_canonical_formula_matches_word(ab):
     t = evaluate(parse("(b)+(a)+", ab))
     assert render(canonical_formula(t)) == canonical_word(t)
+
+
+def test_parse_accepts_every_canonical_word(ab):
+    # canonical_formula builds its formula from the word without parsing it.
+    rng = Random(4242)
+    abc = Alphabet.from_string("abc")
+    corpus = enumerate_trees(4, ab) + enumerate_trees(2, abc)
+    corpus += [random_tree(rng, rng.randrange(60), rng.choice((ab, abc))) for _ in range(200)]
+    corpus += [prune(t).tree for t in corpus[-50:]]
+    for t in corpus:
+        built, parsed = canonical_formula(t), parse(canonical_word(t), t.alphabet)
+        assert parsed == built and hash(parsed) == hash(built)
+        assert render(built) == render(parsed) and built.factors == parsed.factors
 
 
 def test_mixed_orientation_sort(ab):

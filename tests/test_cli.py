@@ -59,6 +59,16 @@ def test_prune_formula_and_json(capsys):
 def test_prune_malformed_json(capsys):
     code, _, err = run(capsys, "prune", '{"alphabet":"ab"}')
     assert code == 2 and err
+    edge = '{"l":"a","s":0,"t":1}'
+    for text in (
+        '{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1,"l":"b"}]}',
+        '{"alphabet":"ab","n":2,"start":0,"end":1,"end":1,"edges":[' + edge + "]}",
+        '{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[' + edge + '],"x":1}',
+        '{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1,"x":1}]}',
+    ):
+        code, out, err = run(capsys, "prune", text)
+        assert code == 2 and out == ""
+        assert err.startswith("malformed tree JSON: ") and len(err.splitlines()) == 1
 
 
 def test_nf(capsys):

@@ -383,6 +383,23 @@ def test_from_json_rejects_bad_labels(label):
         from_json(json.dumps(obj))
 
 
+_DUPLICATE_OR_UNKNOWN_KEYS = [
+    # json.loads alone keeps the last of two equal keys: this read as a b edge.
+    ('{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1,"l":"b"}]}', "duplicate key 'l'"),
+    ('{"alphabet":"ab","n":2,"n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1}]}', "duplicate key 'n'"),
+    ('{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1}],"x":1}', "unknown key 'x'"),
+    ('{"x":1,"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1}]}', "unknown key 'x'"),
+    ('{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1,"L":"a"}]}', "unknown key 'L'"),
+    ('{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1}],"edges":[]}', "duplicate key 'edges'"),
+]
+
+
+@pytest.mark.parametrize("text, why", _DUPLICATE_OR_UNKNOWN_KEYS)
+def test_from_json_rejects_duplicate_and_unknown_keys(text, why):
+    with pytest.raises(ValueError, match=f"^malformed tree JSON: {why}$"):
+        from_json(text)
+
+
 @pytest.mark.parametrize("alphabet", [["a", "b"], {"a": 0, "b": 1}, None])
 def test_from_json_rejects_non_string_alphabet(alphabet):
     obj = dict(_BASE_JSON, alphabet=alphabet)
