@@ -11,8 +11,6 @@ word is a normal form.
 
 from __future__ import annotations
 
-from collections import deque
-
 from .formula import Formula, _from_text
 from .tree import SigmaTree, trunk
 
@@ -22,51 +20,40 @@ def canonical_word(tree: SigmaTree) -> str:
 
     At most four characters per edge; computed in quadratic time.
     """
-    alphabet = tree.alphabet
-    letters = alphabet.letters
-    omega_key = alphabet.omega_key
-    n = tree.vertex_count
-    adjacency = tree._adjacency
+    letters = tree.alphabet.letters
+    omega_key = tree.alphabet.omega_key
+    order, position, up, label, _ = tree._traversal
     trunk_info = trunk(tree)
-
-    visited = bytearray(n)
+    on_trunk = bytearray(len(order))
     for v in trunk_info.vertices:
-        visited[v] = 1
-    # Breadth-first away from the trunk; children recorded per vertex.
-    children: list[list[int]] = [[] for _ in range(n)]
-    queue = deque(trunk_info.vertices)
-    offtrunk_order: list[int] = []
-    while queue:
-        v = queue.popleft()
-        for e in adjacency[v]:
-            w = e % n
-            if not visited[w]:
-                visited[w] = 1
-                children[v].append(e)
-                offtrunk_order.append(w)
-                queue.append(w)
+        on_trunk[position[v]] = 1
 
-    hanging = [""] * n
+    # Per position, the words of the branches hanging from it.  The
+    # traversal is rooted at the start, on the trunk, so an off-trunk
+    # vertex's children are its branches; a trunk vertex's children are
+    # its branches and the next trunk vertex.  In reverse preorder every
+    # branch word is complete before it is read.
+    taus: list[list[str]] = [[] for _ in order]
 
-    def assemble(v: int) -> str:
-        taus = []
-        for e in children[v]:
-            s, w = divmod(e, n)
-            if s & 1:
-                taus.append("(" + hanging[w] + letters[s >> 1] + ")*")
-            else:
-                taus.append("(" + letters[s >> 1] + hanging[w] + ")+")
-        if len(taus) > 1:
-            taus.sort(key=omega_key)
-        return "".join(taus)
+    def assemble(p: int) -> str:
+        words = taus[p]
+        if len(words) > 1:
+            words.sort(key=omega_key)
+        return "".join(words)
 
-    for v in reversed(offtrunk_order):
-        hanging[v] = assemble(v)
+    for p in range(len(order) - 1, 0, -1):
+        if on_trunk[p]:
+            continue
+        s = label[p]
+        if s & 1:
+            taus[up[p]].append("(" + assemble(p) + letters[s >> 1] + ")*")
+        else:
+            taus[up[p]].append("(" + letters[s >> 1] + assemble(p) + ")+")
 
-    parts = [assemble(trunk_info.vertices[0])]
-    for label, v in zip(trunk_info.labels, trunk_info.vertices[1:]):
-        parts.append(label)
-        parts.append(assemble(v))
+    parts = [assemble(0)]
+    for letter, v in zip(trunk_info.labels, trunk_info.vertices[1:]):
+        parts.append(letter)
+        parts.append(assemble(position[v]))
     return "".join(parts)
 
 

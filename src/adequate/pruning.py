@@ -35,53 +35,43 @@ class PrunedWitness(Frozen):
 def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
     """Vertices of a pruned subtree of ``tree`` containing both basepoints.
 
-    After the propagation pass (source = target = ``tree``), vertices are
-    visited in traversal order; at each vertex ``w`` and signed label, the
-    like-labelled neighbours still present form the list K, and a neighbour
-    ``u`` later than ``w`` is deleted together with its whole subtree unless
-    ``u`` is the only member of K among its own candidate images.  Later
-    siblings are examined first so that the lowest-numbered duplicate branch
-    is the one kept.
+    After the propagation pass (source = target = ``tree``), the traversal
+    positions are visited in preorder, skipping deleted ones.  The children
+    of a position ``p`` come grouped by signed label; for each group, K is
+    the group plus ``p``'s parent when the edge up reads the same label.
+    Each child ``c`` in the group, the latest first, is deleted together
+    with its whole subtree unless ``c`` is the only member of K among its
+    own candidate images; a deleted child leaves K.  Latest first makes the
+    lowest-numbered duplicate branch the one kept.  A child is only ever
+    deleted with its parent or at its parent's visit, so all of K is
+    present when ``p`` is visited.
     """
     n = tree.vertex_count
     if n == 1:
         return frozenset((0,))
-    tr = tree._traversal
+    order, _, up, label, size = tree._traversal
     masks = _propagate(tree, tree)
-    adjacency = tree._adjacency
-    position, order, size = tr.position, tr.order, tr.size
     alive = bytearray([1]) * n
     for p in range(n):
-        w = order[p]
-        if not alive[w]:
+        if not alive[p]:
             continue
-        entries = adjacency[w]
-        count = len(entries)
-        i = 0
-        while i < count:
-            s = entries[i] // n
-            members = []
-            j = i
-            while j < count and entries[j] // n == s:
-                u = entries[j] % n
-                if alive[u]:
-                    members.append(u)
-                j += 1
-            i = j
-            if not members:
-                continue
-            kmask = 0
-            for u in members:
-                kmask |= 1 << u
-            later = [u for u in members if position[u] > p]
-            later.sort(key=position.__getitem__, reverse=True)
-            for u in later:
-                if kmask & masks[position[u]] != 1 << u:
-                    kmask &= ~(1 << u)
-                    lo = position[u]
-                    for q in range(lo, lo + size[lo]):
-                        alive[order[q]] = 0
-    return frozenset(v for v in range(n) if alive[v])
+        back = label[p] ^ 1  # read from p up to its parent; -2 at the root
+        q = p + 1
+        end = p + size[p]
+        while q < end:
+            s = label[q]
+            kmask = 1 << order[up[p]] if s == back else 0
+            group = []
+            while q < end and label[q] == s:
+                group.append(q)
+                kmask |= 1 << order[q]
+                q += size[q]
+            for c in reversed(group):
+                bit = 1 << order[c]
+                if kmask & masks[c] != bit:
+                    kmask ^= bit
+                    alive[c : c + size[c]] = bytes(size[c])
+    return frozenset(order[p] for p in range(n) if alive[p])
 
 
 def _induced_subtree(tree: SigmaTree, kept_sorted: tuple[int, ...]) -> SigmaTree:

@@ -68,6 +68,8 @@ class TraversalOrder(Frozen):
 class _Walk(NamedTuple):
     # order and position as in TraversalOrder; per position, the parent's
     # position, the signed label in (both -1 at the root), the subtree size.
+    # The children of p are q = p + 1, then q + size[q], ... below
+    # p + size[p], in ascending order of signed label, then vertex id.
     order: list[int]
     position: list[int]
     up: list[int]
@@ -98,25 +100,6 @@ class SigmaTree(Frozen):
         self.__dict__.update(alphabet=alphabet, vertex_count=vertex_count, start=start, end=end, edges=edges)
 
     @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        # Per vertex: s * n + w for each neighbour w reached along signed
-        # label s, sorted -- so by (letter, forward first, w), which fixes
-        # the traversal tie-break and groups equal signed labels.
-        n = self.vertex_count
-        index = self.alphabet._index
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for label, s, t in self.edges:
-            li = index.get(label)
-            if li is None:
-                li = self.alphabet.index(label)  # raises UnknownSymbol
-            k = 2 * li * n
-            adj[s].append(k + t)
-            adj[t].append(k + n + s)
-        for entries in adj:
-            entries.sort()
-        return adj
-
-    @cached_property
     def _preimages(self) -> list[list[int]]:
         # Per signed label and vertex y: the bitmask of every x with an edge
         # so labelled from x to y; letters without edges get all-zero lists.
@@ -124,7 +107,10 @@ class SigmaTree(Frozen):
         index = self.alphabet._index
         pre = [[0] * n for _ in range(2 * len(index))]
         for label, s, t in self.edges:
-            k = 2 * index[label]
+            li = index.get(label)
+            if li is None:
+                li = self.alphabet.index(label)  # raises UnknownSymbol
+            k = 2 * li
             pre[k][t] |= 1 << s
             pre[k + 1][s] |= 1 << t
         return pre
@@ -268,7 +254,20 @@ def evaluate(formula: Formula) -> SigmaTree:
 
 def _compute_traversal(tree: SigmaTree) -> _Walk:
     n = tree.vertex_count
-    adj = tree._adjacency
+    index = tree.alphabet._index
+    # Per vertex: s * n + w for each neighbour w reached along signed label
+    # s; sorted, that is by (letter, forward first, w), the traversal
+    # tie-break.  No other code reads this encoding.
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for letter, s, t in tree.edges:
+        li = index.get(letter)
+        if li is None:
+            li = tree.alphabet.index(letter)  # raises UnknownSymbol
+        k = 2 * li * n
+        adj[s].append(k + t)
+        adj[t].append(k + n + s)
+    for entries in adj:
+        entries.sort()
     start = tree.start
     position = [-1] * n
     order: list[int] = []
@@ -276,8 +275,9 @@ def _compute_traversal(tree: SigmaTree) -> _Walk:
     # pushed it and the signed label read from there.
     via_up = [-1] * n
     via_label = [-1] * n
-    # Explicit-stack preorder.  Neighbours are pushed in reverse so they pop
-    # in adjacency order, and marked when pushed, so a cycle cannot loop.
+    # Explicit-stack preorder.  Neighbours are pushed in descending order so
+    # they pop in ascending order, and marked when pushed, so a cycle cannot
+    # loop.  Children therefore take positions by ascending signed label.
     seen = bytearray(n)
     seen[start] = 1
     stack = [start]
@@ -308,7 +308,8 @@ def traversal(tree: SigmaTree) -> TraversalOrder:
     Neighbours are visited by ascending (letter rank, direction with forward
     first, original neighbour id), so every run over the same representation
     produces the same numbering.  The tree computes and caches it once, by
-    an explicit-stack preorder walk, as flat lists indexed by position: the
+    an explicit-stack preorder walk over a sorted adjacency list that is
+    built for the walk and dropped, as flat lists indexed by position: the
     parent's position, the integer signed label of the edge in, and the
     subtree size.  This view, with ``SignedLabel``s and spans, is built from
     those lists on each call.
@@ -376,16 +377,18 @@ def from_json(text: str) -> SigmaTree:
     """Parse and validate the canonical JSON form.
 
     The alphabet must be a string, ``n``, ``start``, ``end``, ``s`` and ``t``
-    integers (booleans are not), and labels one-character strings.  No object
-    may repeat a key, the tree may hold no key but ``alphabet``, ``n``,
-    ``start``, ``end`` and ``edges``, and an edge none but ``l``, ``s`` and
-    ``t``.  Anything else raises ``ValueError``.
+    integers (booleans are not), ``edges`` a list and labels one-character
+    strings.  No object may repeat a key, the tree may hold no key but
+    ``alphabet``, ``n``, ``start``, ``end`` and ``edges``, and an edge none
+    but ``l``, ``s`` and ``t``.  Anything else raises ``ValueError``.
     """
     import json
 
     obj = json.loads(text, object_pairs_hook=_unique_keys)
     try:
         letters, n, start, end = obj["alphabet"], obj["n"], obj["start"], obj["end"]
+        if type(obj["edges"]) is not list:
+            raise ValueError("malformed tree JSON: edges is not a list")
         edges = [(e["l"], e["s"], e["t"]) for e in obj["edges"]]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed tree JSON: {exc!r}") from exc

@@ -3,8 +3,9 @@
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
 descendant sets come from explicit path enumeration.  The parser, the
-evaluators, the admissibility walk, the traversal, the propagation pass and
-the recursive morphism enumeration that the library replaced with faster
+evaluators, the admissibility walk, the traversal, the propagation pass,
+the recursive morphism enumeration, the adjacency-list pruning sweep and
+the breadth-first canonical word that the library replaced with faster
 code are kept here as differential references; the faster code must give
 identical results.  So are the dataclass definitions of the value classes,
 which the library replaced with plain classes that import no
@@ -14,7 +15,7 @@ its masks are the reference pass's ANDed with ``forward_reach``.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional
 
@@ -39,6 +40,7 @@ from adequate import (
     UnknownSymbol,
     VertexMorphism,
     base_tree,
+    candidate_sets,
     evaluate,
     parse,
     traversal,
@@ -452,6 +454,112 @@ def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
         tuple(span),
     )
 
+
+
+def _sorted_adjacency(tree: SigmaTree) -> list[list[int]]:
+    # Per vertex: s * n + w for each neighbour w reached along the integer
+    # signed label s, sorted, built here straight from the edge list.
+    n = tree.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for label, s, t in tree.edges:
+        k = 2 * tree.alphabet.index(label) * n
+        adj[s].append(k + t)
+        adj[t].append(k + n + s)
+    for entries in adj:
+        entries.sort()
+    return adj
+
+
+def pruned_vertex_set_by_adjacency(tree: SigmaTree) -> frozenset[int]:
+    """Reference sweep: the one the library replaced with a walk over child
+    groups in traversal order.  At each vertex ``w`` in traversal order and
+    each signed label, the like-labelled neighbours still present, read
+    from a sorted adjacency list, form K; a neighbour later than ``w`` is
+    deleted with its subtree, latest first, unless it is the only member of
+    K among its own candidate images."""
+    n = tree.vertex_count
+    if n == 1:
+        return frozenset((0,))
+    tr = traversal(tree)
+    masks = candidate_sets(tree, tree).masks
+    adjacency = _sorted_adjacency(tree)
+    position, order, span = tr.position, tr.order, tr.span
+    alive = bytearray([1]) * n
+    for p in range(n):
+        w = order[p]
+        if not alive[w]:
+            continue
+        entries = adjacency[w]
+        count = len(entries)
+        i = 0
+        while i < count:
+            s = entries[i] // n
+            members = []
+            j = i
+            while j < count and entries[j] // n == s:
+                u = entries[j] % n
+                if alive[u]:
+                    members.append(u)
+                j += 1
+            i = j
+            kmask = 0
+            for u in members:
+                kmask |= 1 << u
+            later = [u for u in members if position[u] > p]
+            later.sort(key=position.__getitem__, reverse=True)
+            for u in later:
+                if kmask & masks[position[u]] != 1 << u:
+                    kmask &= ~(1 << u)
+                    lo, hi = span[u]
+                    for q in range(lo, hi):
+                        alive[order[q]] = 0
+    return frozenset(v for v in range(n) if alive[v])
+
+
+def canonical_word_by_bfs(tree: SigmaTree) -> str:
+    """Reference canonical word: the breadth-first walk away from the trunk
+    over a sorted adjacency list that the library replaced with a reverse
+    preorder pass over its traversal."""
+    letters = tree.alphabet.letters
+    omega_key = tree.alphabet.omega_key
+    n = tree.vertex_count
+    adjacency = _sorted_adjacency(tree)
+    trunk_info = trunk(tree)
+    visited = bytearray(n)
+    for v in trunk_info.vertices:
+        visited[v] = 1
+    children: list[list[int]] = [[] for _ in range(n)]
+    queue = deque(trunk_info.vertices)
+    offtrunk_order: list[int] = []
+    while queue:
+        v = queue.popleft()
+        for e in adjacency[v]:
+            w = e % n
+            if not visited[w]:
+                visited[w] = 1
+                children[v].append(e)
+                offtrunk_order.append(w)
+                queue.append(w)
+    hanging = [""] * n
+
+    def assemble(v: int) -> str:
+        taus = []
+        for e in children[v]:
+            s, w = divmod(e, n)
+            if s & 1:
+                taus.append("(" + hanging[w] + letters[s >> 1] + ")*")
+            else:
+                taus.append("(" + letters[s >> 1] + hanging[w] + ")+")
+        taus.sort(key=omega_key)
+        return "".join(taus)
+
+    for v in reversed(offtrunk_order):
+        hanging[v] = assemble(v)
+    parts = [assemble(trunk_info.vertices[0])]
+    for label, v in zip(trunk_info.labels, trunk_info.vertices[1:]):
+        parts.append(label)
+        parts.append(assemble(v))
+    return "".join(parts)
 
 # The dataclass definitions that the library's value classes replaced, with
 # what shapes their generated methods: the decorator, the fields in order,

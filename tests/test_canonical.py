@@ -17,7 +17,7 @@ from adequate import (
 )
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
 from adequate.oracles import evaluate_roundtrip_check
-from oracles import structural_key
+from oracles import canonical_word_by_bfs, structural_key
 from strategies import trees
 
 
@@ -119,3 +119,10 @@ def test_word_equality_iff_isomorphic(t1, t2):
     assert (canonical_word(t1) == canonical_word(t2)) == (
         structural_key(t1) == structural_key(t2)
     )
+
+
+def test_canonical_word_matches_bfs_reference(sweep_corpus):
+    for t in sweep_corpus:
+        assert canonical_word(t) == canonical_word_by_bfs(t)
+        pruned = prune(t).tree
+        assert canonical_word(pruned) == canonical_word_by_bfs(pruned)

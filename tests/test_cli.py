@@ -65,6 +65,8 @@ def test_prune_malformed_json(capsys):
         '{"alphabet":"ab","n":2,"start":0,"end":1,"end":1,"edges":[' + edge + "]}",
         '{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[' + edge + '],"x":1}',
         '{"alphabet":"ab","n":2,"start":0,"end":1,"edges":[{"l":"a","s":0,"t":1,"x":1}]}',
+        '{"alphabet":"ab","n":1,"start":0,"end":0,"edges":""}',
+        '{"alphabet":"ab","n":1,"start":0,"end":0,"edges":{}}',
     ):
         code, out, err = run(capsys, "prune", text)
         assert code == 2 and out == ""

@@ -10,6 +10,7 @@ from adequate import (
     Alphabet,
     Edge,
     SigmaTree,
+    UnknownSymbol,
     base_tree,
     canonical_word,
     candidate_sets,
@@ -82,6 +83,16 @@ def test_alphabet_mismatch(ab):
         exists_morphism(base_tree("a", ab), base_tree("a", other))
     with pytest.raises(AlphabetMismatch):
         exists_morphism_bruteforce(base_tree("a", ab), base_tree("a", other))
+
+
+def test_label_outside_the_alphabet_raises_unknown_symbol(ab):
+    # Unvalidated trees: the target's preimage table and the source's
+    # traversal both reject the label by the alphabet's own check.
+    stray = SigmaTree(ab, 2, 0, 1, (("z", 0, 1),))
+    with pytest.raises(UnknownSymbol):
+        exists_morphism(base_tree("a", ab), stray)
+    with pytest.raises(UnknownSymbol):
+        exists_morphism(stray, base_tree("a", ab))
 
 
 def test_exhaustive_agreement_small(small_tree_corpus):

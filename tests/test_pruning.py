@@ -26,7 +26,7 @@ from adequate import (
 from adequate import pruning
 from adequate.generate import random_relabelling, random_tree
 from adequate.oracles import minimal_retract_bruteforce
-from oracles import propagate_unmemoised
+from oracles import propagate_unmemoised, pruned_vertex_set_by_adjacency
 from strategies import trees
 
 
@@ -170,3 +170,12 @@ def test_prune_matches_unmemoised_propagation_on_wide_trees(ab, monkeypatch):
     assert [to_json(t) for t in fast] == [to_json(t) for t in slow]
     assert [canonical_word(t) for t in fast] == [canonical_word(t) for t in slow]
     assert any(p.vertex_count < t.vertex_count for p, t in zip(fast, cases))
+
+
+def test_sweep_matches_adjacency_reference(sweep_corpus):
+    folded = 0
+    for t in sweep_corpus:
+        kept = pruned_vertex_set(t)
+        assert kept == pruned_vertex_set_by_adjacency(t)
+        folded += len(kept) < t.vertex_count
+    assert folded > 100

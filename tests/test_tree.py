@@ -26,6 +26,7 @@ from adequate import (
     concat,
     descendants,
     evaluate,
+    exists_morphism,
     from_json,
     occurrence_count,
     parse,
@@ -233,6 +234,11 @@ def test_traversal_view_fills_the_cache_the_algorithms_read(ab):
     tr = traversal(t)
     assert "_traversal" in vars(t)
     assert traversal(t) == tr == traversal_by_iterators(t)
+    # The adjacency list lives only inside the traversal build.
+    canonical_word(t)
+    prune(t)
+    exists_morphism(t, t)
+    assert set(vars(t)) == {"alphabet", "vertex_count", "start", "end", "edges", "_traversal", "_preimages"}
 
 
 def test_trunk_of_an_unvalidated_tree_needs_a_path_to_the_end(ab):
@@ -398,6 +404,19 @@ _DUPLICATE_OR_UNKNOWN_KEYS = [
 def test_from_json_rejects_duplicate_and_unknown_keys(text, why):
     with pytest.raises(ValueError, match=f"^malformed tree JSON: {why}$"):
         from_json(text)
+
+
+@pytest.mark.parametrize("edges", ["", {}, None])
+def test_from_json_rejects_edges_that_are_not_a_list(edges):
+    obj = {"alphabet": "ab", "n": 1, "start": 0, "end": 0, "edges": edges}
+    with pytest.raises(ValueError, match="^malformed tree JSON: "):
+        from_json(json.dumps(obj))
+
+
+def test_from_json_loads_the_one_vertex_tree(ab):
+    text = '{"alphabet":"ab","n":1,"start":0,"end":0,"edges":[]}'
+    assert from_json(text) == trivial_tree(ab)
+    assert to_json(from_json(text)) == text
 
 
 @pytest.mark.parametrize("alphabet", [["a", "b"], {"a": 0, "b": 1}, None])
