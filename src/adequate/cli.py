@@ -115,10 +115,11 @@ def _tree_or_formula(arg: str, alphabet: Alphabet, mode: Mode) -> SigmaTree:
 
 
 def _emit_tree(tree: SigmaTree, dot_path: str | None) -> None:
-    print(to_json(tree))
+    # The DOT file first, so that a path that cannot be written prints no tree.
     if dot_path:
         with open(dot_path, "w", encoding="utf-8") as fh:
             fh.write(to_dot(tree))
+    print(to_json(tree))
 
 
 def _cmd_eval(args) -> int:

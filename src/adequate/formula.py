@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, Union
 
 from ._record import Frozen
@@ -77,6 +78,11 @@ class Alphabet(Frozen):
             return self._index[ch]
         except KeyError:
             raise UnknownSymbol(detail=f"{ch!r} is not a generator") from None
+
+    @cached_property
+    def _parens_only(self) -> dict[int, None]:
+        # Deletes the generators and the operators from formula text.
+        return str.maketrans("", "", "".join(self.letters) + "+*")
 
     @cached_property
     def _letters(self) -> dict[str, "Letter"]:
@@ -190,15 +196,20 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     Whitespace between tokens is ignored.  With no mode, both unary symbols
     are admitted and empty (sub)formulas are legal.
 
-    One pass over the characters that builds no syntax nodes: the result
-    keeps the whitespace-free text, which is its rendering, and builds
-    ``factors`` only when they are read.  A ``)`` waits for its operator;
-    only whitespace may come in between.
+    Builds no syntax nodes: the result keeps the whitespace-free text,
+    which is its rendering, and builds ``factors`` only when they are read.
+    String operations accept a formula (:func:`_is_formula`); only other
+    text is walked character by character, to raise its first error.  In
+    that walk a ``)`` waits for its operator; only whitespace may come in
+    between.
     """
     # The admitted operator characters, so that a ")" tests a character and
     # hashes no UnaryOp.
     allowed = "+*" if mode is None else "".join(op.value for op in mode.allowed_ops())
     allow_empty = mode is None or not mode.semigroup
+    stripped = "".join(text.split())
+    if _is_formula(stripped, alphabet, allowed, allow_empty):
+        return _from_text(stripped, alphabet)
     known = alphabet._index
     depth = 0
     closed = -1  # the offset of a ")" that awaits its operator
@@ -237,10 +248,37 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
         raise BareGroup(len(text))
     if depth:
         raise UnbalancedParenthesis(len(text))
-    text = "".join(text.split())
-    if not text and not allow_empty:
+    if not stripped and not allow_empty:
         raise EmptyNotAllowed(0, "empty formula in semigroup mode")
-    return _from_text(text, alphabet)
+    return _from_text(stripped, alphabet)
+
+
+# "(" and ")" as the signed bytes +1 and -1.
+_DEPTH_STEPS = bytes.maketrans(b"()", b"\x01\xff")
+
+
+def _is_formula(text: str, alphabet: Alphabet, allowed: str, allow_empty: bool) -> bool:
+    """Whether whitespace-free text is a formula, by string operations.
+
+    Its parentheses are all that is left once generators and operators
+    are deleted; every ``)`` is followed by an operator and every operator
+    follows a ``)``; no prefix closes more groups than it opens, and all
+    groups close.  Every formula meets these, and so does the body of
+    every group of a text that meets them, so by induction only formulas
+    do.  Then the mode: no operator outside ``allowed``, and no empty
+    formula or group unless ``allow_empty``.
+    """
+    parens = text.translate(alphabet._parens_only)
+    closes = text.count(")")
+    plus, star = text.count("+"), text.count("*")
+    return (
+        len(parens) == 2 * closes == 2 * text.count("(")
+        and closes == text.count(")+") + text.count(")*") == plus + star
+        and min(accumulate(memoryview(parens.encode().translate(_DEPTH_STEPS)).cast("b")), default=0) >= 0
+        and (not plus or "+" in allowed)
+        and (not star or "*" in allowed)
+        and (allow_empty or (text != "" and "()" not in text))
+    )
 
 
 def _from_text(text: str, alphabet: Alphabet) -> Formula:

@@ -94,15 +94,15 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
 
     With ``_early_exit`` either pass stops at the first empty mask and sets
     ``masks[0]`` to 0, as every ancestor would end empty; whenever
-    ``masks[0]`` is not 0 the masks are those of the full passes.
+    ``masks[0]`` is not 0 the masks are those of the full passes.  If the
+    source has no traversal yet, the forward pass then runs inside the
+    source's traversal walk, which an empty mask stops before it is done.
 
     A one-bit mask's image is the target's preimage mask of that bit.  A
     wider mask's image is looked up in a memo per signed label; a miss is
     the union of the preimage masks of its bits.  Without the memo, a star
     of k like-labelled leaves would walk the same k-bit mask at every leaf.
     """
-    tr = t1._traversal
-    up, label = tr.up, tr.label
     n = t1.vertex_count
     preimages = t2._preimages
     memos: list[dict[int, int]] = [{} for _ in preimages]
@@ -123,14 +123,21 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
             memo[mask] = found
         return found
 
-    masks = [0] * n
-    masks[0] = 1 << t2.start
-    for p in range(1, n):
+    masks = [1 << t2.start]
+    if _early_exit and "_traversal" not in t1.__dict__:
+        tr = t1._walk_carrying(masks, image)
+        if tr is None:
+            return [0] * n
+    else:
+        tr = t1._traversal
+    up, label = tr.up, tr.label
+    # Positions that the walk did not carry a mask to: all of them, or none.
+    for p in range(len(masks), n):
         mask = image(masks[up[p]], label[p] ^ 1)
         if not mask and _early_exit:
             masks[0] = 0
             return masks
-        masks[p] = mask
+        masks.append(mask)
     masks[tr.position[t1.end]] &= 1 << t2.end
     for p in range(n - 1, 0, -1):
         mask = masks[p]

@@ -119,6 +119,15 @@ class SigmaTree(Frozen):
     def _traversal(self) -> _Walk:
         return _compute_traversal(self)
 
+    def _walk_carrying(self, carried: list[int], step) -> Optional[_Walk]:
+        # The traversal walk with a value carried down it (see
+        # _compute_traversal); a completed walk is cached, a stopped one
+        # gives None.
+        walk = _compute_traversal(self, carried, step)
+        if walk is not None:
+            self.__dict__["_traversal"] = walk
+        return walk
+
 
 def validate(
     vertex_count: int,
@@ -252,7 +261,15 @@ def evaluate(formula: Formula) -> SigmaTree:
     )
 
 
-def _compute_traversal(tree: SigmaTree) -> _Walk:
+def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, step=None) -> Optional[_Walk]:
+    """The walk that :func:`traversal` describes, as flat lists by position.
+
+    With ``step``, ``carried`` holds the start's value, and the walk
+    appends the value of each later position as it reaches it:
+    ``step(value, s)`` of its parent's value, s being the signed label read
+    from the child back to the parent.  A 0 stops the walk, which then
+    gives None.
+    """
     n = tree.vertex_count
     index = tree.alphabet._index
     # Per vertex: s * n + w for each neighbour w reached along signed label
@@ -284,6 +301,11 @@ def _compute_traversal(tree: SigmaTree) -> _Walk:
     while stack:
         v = stack.pop()
         p = len(order)
+        if p and step is not None:
+            value = step(carried[via_up[v]], via_label[v] ^ 1)
+            if not value:
+                return None
+            carried.append(value)
         position[v] = p
         order.append(v)
         for e in reversed(adj[v]):
@@ -425,7 +447,9 @@ def _only_keys(obj: dict, known: tuple[str, ...]) -> None:
 
 
 def to_dot(tree: SigmaTree, name: str = "sigma_tree") -> str:
-    """DOT export: start drawn as a diamond, end as a double circle."""
+    """DOT export: start drawn as a diamond, end as a double circle.
+
+    Labels are quoted, with ``\\`` and ``"`` escaped."""
     lines = [f"digraph {name} {{"]
     for v in range(tree.vertex_count):
         if v == tree.start == tree.end:
@@ -437,6 +461,7 @@ def to_dot(tree: SigmaTree, name: str = "sigma_tree") -> str:
         else:
             lines.append(f"  {v};")
     for l, s, t in tree.edges:
+        l = l.replace("\\", "\\\\").replace('"', '\\"')
         lines.append(f'  {s} -> {t} [label="{l}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

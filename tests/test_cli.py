@@ -45,6 +45,23 @@ def test_eval_parse_error(capsys):
     assert err.strip() == "UnbalancedParenthesis at offset 2"
 
 
+def test_dot_labels_are_escaped(capsys, tmp_path):
+    path = tmp_path / "x.dot"
+    code, _, err = run(capsys, "--alphabet", 'a"\\', "eval", 'a"\\', "--dot", str(path))
+    assert code == 0 and err == ""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert '  1 -> 2 [label="\\""];' in lines
+    assert '  2 -> 3 [label="\\\\"];' in lines
+
+
+def test_dot_path_that_cannot_be_written_prints_nothing(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "x.dot")
+    for argv in (("eval", "a", "--dot", path), ("prune", "(a)+a", "--dot", path)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "x.dot" in err
+
+
 def test_prune_formula_and_json(capsys):
     code, out, _ = run(capsys, "prune", "(a)+a")
     assert code == 0

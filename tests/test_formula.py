@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pickle
 from dataclasses import fields, replace
+from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -215,6 +217,32 @@ def test_parse_matches_reference_on_large_words():
         f = parse(spaced, AB)
         assert f == parse_by_index(spaced, AB)
         assert occurrence_count(f) >= 800
+
+
+def test_parse_matches_reference_on_every_short_text():
+    # Every text of at most five characters over these eight symbols: each
+    # condition of the string-operation check is the only one that rejects
+    # some of them.
+    raised = 0
+    for length in range(6):
+        for chars in product("ab()+* c", repeat=length):
+            text = "".join(chars)
+            for mode in ALL_MODES:
+                got = _outcome(parse, text, mode)
+                assert got == _outcome(parse_by_index, text, mode), (text, mode)
+                raised += type(got) is tuple
+    assert 0 < raised < 37449 * len(ALL_MODES)
+
+
+def test_parse_matches_reference_across_whitespace():
+    # Tabs, newlines and no-break spaces between the tokens of valid and
+    # invalid texts, including between a ")" and its operator.
+    rng = Random(5152)
+    texts = random_texts()[:600] + [canonical_word(t) for t in enumerate_trees(3, AB)]
+    for text in texts:
+        spaced = "".join(ch + rng.choice(("", "\t", "\n", "\u00a0", " \n\u00a0")) for ch in text)
+        for mode in ALL_MODES:
+            assert _outcome(parse, spaced, mode) == _outcome(parse_by_index, spaced, mode)
 
 
 def test_parse_shares_letters(ab):

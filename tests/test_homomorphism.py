@@ -19,7 +19,9 @@ from adequate import (
     exists_morphism,
     extract_morphism,
     is_morphism,
+    normal_form,
     parse,
+    render,
     traversal,
     prune,
     trivial_tree,
@@ -29,6 +31,7 @@ from adequate import (
 from adequate import homomorphism
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
 from adequate.homomorphism import _propagate
+from adequate.tree import _compute_traversal
 from adequate.oracles import (
     _all_morphisms,
     exists_morphism_bruteforce,
@@ -471,3 +474,86 @@ def test_extract_raises_on_unsupported_candidate(ab, monkeypatch):
     monkeypatch.setattr(homomorphism, "_propagate", lambda t1, t2, **_: [1, 0])
     with pytest.raises(RuntimeError):
         extract_morphism(base_tree("a", ab), base_tree("a", ab))
+
+
+def _fresh(tree):
+    # A copy with nothing cached, so that a morphism test from it runs its
+    # forward pass inside the traversal walk.
+    return SigmaTree(tree.alphabet, tree.vertex_count, tree.start, tree.end, tree.edges)
+
+
+def _check_walk(t1, t2, oracles=True):
+    # From fresh copies of t1: the answer, the early-exit masks and the
+    # witness agree with the reference, and the walk is cached, as the
+    # untouched walk, exactly when it was not stopped.  The reference is the
+    # oracles (with the brute force and the scan witness), or else the full
+    # pass, which walks a cached traversal.  Returns whether the walk stopped.
+    expected = _reference_masks(_fresh(t1), t2) if oracles else _propagate(_fresh(t1), t2)
+    source = _fresh(t1)
+    answer = exists_morphism(source, t2)
+    assert answer == (expected[0] != 0)
+    stopped = "_traversal" not in vars(source)
+    if stopped:
+        assert not answer
+    else:
+        assert vars(source)["_traversal"] == _compute_traversal(_fresh(t1))
+    early = _propagate(_fresh(t1), t2, _early_exit=True)
+    if answer:
+        assert early == expected
+    else:
+        assert early[0] == 0
+    witness = extract_morphism(_fresh(t1), t2)
+    assert witness == extract_morphism(t1, t2)
+    if oracles:
+        assert stopped == (0 in forward_reach(_fresh(t1), t2))
+        assert answer == exists_morphism_bruteforce(_fresh(t1), t2)
+        assert witness == extract_morphism_by_scan(_fresh(t1), t2)
+    return stopped
+
+
+def test_walk_from_fresh_sources_on_small_pairs(ab):
+    # Every ordered pair of trees with at most two edges, and every tree
+    # with at most four edges into itself, a relabelling of itself and
+    # seeded trees of up to four edges.
+    rng = Random(20247)
+    small = enumerate_trees(2, ab)
+    pairs = [(t1, t2) for t1 in small for t2 in small]
+    for x in enumerate_trees(4, ab):
+        pairs += [(x, x), (random_relabelling(rng, x), x), (x, random_tree(rng, rng.randrange(5), ab))]
+    stopped = sum(_check_walk(t1, t2) for t1, t2 in pairs)
+    assert 1000 < stopped < len(pairs) - 1000
+
+
+def test_walk_from_fresh_sources_on_the_sweep_corpus(sweep_corpus):
+    # Each tree into itself, where the walk completes, and into the next
+    # tree over its alphabet, where it mostly stops.  The oracles judge the
+    # trees of up to 40 vertices.
+    stopped = 0
+    for i, x in enumerate(sweep_corpus):
+        y = next(t for t in sweep_corpus[i + 1 :] + sweep_corpus if t.alphabet == x.alphabet)
+        assert not _check_walk(x, x, oracles=x.vertex_count <= 40)
+        stopped += _check_walk(x, y, oracles=max(x.vertex_count, y.vertex_count) <= 40)
+    assert stopped > len(sweep_corpus) // 2
+
+
+def test_equal_with_walks_on_evaluated_pairs(ab):
+    # Pairs as the eq-large benchmark builds them, smaller: a random tree's
+    # word against the normal form of a relabelling of it (equal), and the
+    # same word with one letter changed (mostly unequal).  Every tree is
+    # evaluated, so no traversal is cached before the morphism tests.
+    rng = Random(20248)
+    answers = {False: 0, True: 0}
+    for _ in range(25):
+        x = random_tree(rng, 200, ab)
+        f = canonical_word(x)
+        g = render(normal_form(parse(canonical_word(random_relabelling(rng, x)), ab)))
+        i = rng.choice([k for k, ch in enumerate(f) if ch in "ab"])
+        m = f[:i] + "ba"[f[i] == "b"] + f[i + 1 :]
+        for left, right in ((f, g), (m, g)):
+            answer = equal(parse(left, ab), parse(right, ab))
+            u, v = evaluate(parse(left, ab)), evaluate(parse(right, ab))
+            _check_walk(u, v, oracles=False)
+            _check_walk(v, u, oracles=False)
+            assert answer == (_reference_masks(u, v)[0] != 0 and _reference_masks(v, u)[0] != 0)
+            answers[answer] += 1
+    assert min(answers.values()) >= 10
