@@ -503,7 +503,9 @@ def _check_walk(t1, t2, oracles=True):
     else:
         assert early[0] == 0
     witness = extract_morphism(_fresh(t1), t2)
-    assert witness == extract_morphism(t1, t2)
+    walked = _fresh(t1)
+    traversal(walked)  # cached, so this extraction runs the forward loop
+    assert witness == extract_morphism(walked, t2)
     if oracles:
         assert stopped == (0 in forward_reach(_fresh(t1), t2))
         assert answer == exists_morphism_bruteforce(_fresh(t1), t2)
