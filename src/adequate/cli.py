@@ -27,14 +27,7 @@ _SIDEDNESS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="adequate",
-        description="Word problem, normal forms and identity checking in free "
-        "adequate semigroups and monoids, via birooted labelled trees.",
-    )
+def _add_global_options(parser) -> None:
     parser.add_argument("--alphabet", default="ab", help="generator symbols (default: ab)")
     parser.add_argument(
         "--mode",
@@ -53,47 +46,68 @@ def build_parser() -> argparse.ArgumentParser:
         help="invert which unary operation the one-sided modes admit",
     )
     parser.add_argument("--seed", type=int, default=0, help="64-bit seed for generation")
+
+
+def _add_command(subparsers, name: str) -> None:
+    _, help_text, arguments = _COMMANDS[name]
+    p = subparsers.add_parser(name, help=help_text)
+    for name_or_flag, options in arguments:
+        p.add_argument(name_or_flag, **options)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; ``main`` prints its help and errors."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="adequate",
+        description="Word problem, normal forms and identity checking in free "
+        "adequate semigroups and monoids, via birooted labelled trees.",
+    )
+    _add_global_options(parser)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a formula to its unpruned tree (JSON)")
-    p.add_argument("formula")
-    p.add_argument("--dot", metavar="PATH", help="also write a DOT rendering")
-
-    p = sub.add_parser(
-        "prune",
-        help="prune a tree (JSON or formula) to its minimal retract; mode flags apply to formulas only",
-    )
-    p.add_argument("input")
-    p.add_argument("--dot", metavar="PATH")
-
-    p = sub.add_parser("nf", help="print the normal form of a formula")
-    p.add_argument("formula")
-
-    p = sub.add_parser("eq", help="decide whether two formulas are equal (exit 0/1)")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = sub.add_parser(
-        "morph",
-        help="test for a morphism between two trees/formulas; mode flags apply to formulas only",
-    )
-    p.add_argument("source")
-    p.add_argument("target")
-
-    p = sub.add_parser("check-identity", help="does the identity hold in the whole variety?")
-    p.add_argument("lhs")
-    p.add_argument("rhs")
-
-    p = sub.add_parser("gen", help="generate a random tree (JSON), deterministic in --seed")
-    p.add_argument("--edges", type=int, required=True)
-    p.add_argument("--dot", metavar="PATH")
-
-    p = sub.add_parser("bench", help="time eq and prune over a size ladder, print CSV")
-    p.add_argument("--sizes", default="100,200,400,800", help="comma-separated edge counts")
-    p.add_argument("--reps", type=int, default=3)
-
-    sub.add_parser("selftest", help="run the oracle-equivalence and identity suites")
+    for name in _COMMANDS:
+        _add_command(sub, name)
     return parser
+
+
+class _Fallback(Exception):
+    """A lean parser would have printed or exited."""
+
+
+def _fall_back(*args, **kwargs):
+    raise _Fallback
+
+
+def _quiet_parser(**kwargs):
+    # An ArgumentParser that raises _Fallback wherever it would print or exit.
+    import argparse
+
+    parser = argparse.ArgumentParser(**kwargs)
+    parser.error = parser.exit = parser.print_help = parser.print_usage = _fall_back
+    return parser
+
+
+def _parse_lean(argv):
+    """The full parser's ``Namespace`` for argv, from only the parsers it needs.
+
+    A first parse of the global options alone finds the command word, so a
+    global option's value (``--alphabet eq``) is never taken for it; a second
+    parse reads all of argv with the global options and that command's
+    subparser.  Raises ``_Fallback``, having printed nothing, wherever argparse
+    would print: help, a missing or unknown command, or any usage error.
+    """
+    first = _quiet_parser(prog="adequate", add_help=False)
+    _add_global_options(first)
+    rest = first.parse_known_args(argv)[1]
+    if not rest or rest[0] not in _COMMANDS:
+        raise _Fallback
+    lean = _quiet_parser(prog="adequate")
+    _add_global_options(lean)
+    _add_command(
+        lean.add_subparsers(dest="command", required=True, parser_class=_quiet_parser), rest[0]
+    )
+    return lean.parse_args(argv)
 
 
 def _mode_from_args(args) -> Mode:
@@ -217,26 +231,64 @@ def _cmd_selftest(args) -> int:
     return 0 if run_selftest(alphabet, args.seed) else 1
 
 
-_DISPATCH = {
-    "eval": _cmd_eval,
-    "prune": _cmd_prune,
-    "nf": _cmd_nf,
-    "eq": _cmd_eq,
-    "morph": _cmd_morph,
-    "check-identity": _cmd_check_identity,
-    "gen": _cmd_gen,
-    "bench": _cmd_bench,
-    "selftest": _cmd_selftest,
+# Each command: its handler, its help line and its arguments, as (name,
+# options) for ``add_argument``; ``build_parser`` adds every command and
+# ``_parse_lean`` only the one it runs.
+_DOT = ("--dot", {"metavar": "PATH"})
+_COMMANDS = {
+    "eval": (
+        _cmd_eval,
+        "evaluate a formula to its unpruned tree (JSON)",
+        (("formula", {}), ("--dot", {"metavar": "PATH", "help": "also write a DOT rendering"})),
+    ),
+    "prune": (
+        _cmd_prune,
+        "prune a tree (JSON or formula) to its minimal retract; mode flags apply to formulas only",
+        (("input", {}), _DOT),
+    ),
+    "nf": (_cmd_nf, "print the normal form of a formula", (("formula", {}),)),
+    "eq": (
+        _cmd_eq,
+        "decide whether two formulas are equal (exit 0/1)",
+        (("left", {}), ("right", {})),
+    ),
+    "morph": (
+        _cmd_morph,
+        "test for a morphism between two trees/formulas; mode flags apply to formulas only",
+        (("source", {}), ("target", {})),
+    ),
+    "check-identity": (
+        _cmd_check_identity,
+        "does the identity hold in the whole variety?",
+        (("lhs", {}), ("rhs", {})),
+    ),
+    "gen": (
+        _cmd_gen,
+        "generate a random tree (JSON), deterministic in --seed",
+        (("--edges", {"type": int, "required": True}), _DOT),
+    ),
+    "bench": (
+        _cmd_bench,
+        "time eq and prune over a size ladder, print CSV",
+        (
+            ("--sizes", {"default": "100,200,400,800", "help": "comma-separated edge counts"}),
+            ("--reps", {"type": int, "default": 3}),
+        ),
+    ),
+    "selftest": (_cmd_selftest, "run the oracle-equivalence and identity suites", ()),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = _parse_lean(argv)
+    except _Fallback:
+        args = build_parser().parse_args(argv)
     if not 0 <= args.seed < 2**64:
         print("--seed must fit in 64 unsigned bits", file=sys.stderr)
         return 2
     try:
-        return _DISPATCH[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except Error as exc:
         print(exc, file=sys.stderr)
         return 2

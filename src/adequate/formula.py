@@ -340,9 +340,16 @@ def occurrence_count(formula: Formula) -> int:
 _NO_RESERVED = str.maketrans("", "", RESERVED)
 
 
+def _first_occurrences(text: str) -> tuple[str, ...]:
+    # The distinct characters of the text, whitespace and RESERVED left out,
+    # in first-occurrence order.  ``str.split()`` splits on exactly the
+    # characters that ``str.isspace`` accepts.
+    return tuple(dict.fromkeys("".join(text.split()).translate(_NO_RESERVED)))
+
+
 def occurring_letters(formula: Formula) -> tuple[str, ...]:
     """Distinct generators of the formula, in first-occurrence order."""
-    return tuple(dict.fromkeys(formula._text.translate(_NO_RESERVED)))
+    return _first_occurrences(formula._text)
 
 
 def concat(left: Formula, right: Formula) -> Formula:

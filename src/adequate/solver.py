@@ -13,7 +13,7 @@ from enum import Enum
 from ._record import Frozen
 from .canonical import canonical_formula
 from .errors import AlphabetMismatch, EmptyNotAllowed, OpNotInSignature
-from .formula import RESERVED, Alphabet, Formula, UnaryOp, parse, render
+from .formula import Alphabet, Formula, UnaryOp, _first_occurrences, parse, render
 from .homomorphism import exists_morphism
 from .pruning import prune
 from .tree import evaluate
@@ -114,16 +114,7 @@ def _identity_alphabet(*texts: str) -> Alphabet:
     Texts that name no generator get the alphabet ``("x",)``: their sides
     are idempotent-only words on no variables.
     """
-    letters: list[str] = []
-    seen: set[str] = set()
-    for text in texts:
-        for ch in text:
-            if ch.isspace() or ch in RESERVED:
-                continue
-            if ch not in seen:
-                seen.add(ch)
-                letters.append(ch)
-    return Alphabet(tuple(letters) if letters else ("x",))
+    return Alphabet(_first_occurrences("".join(texts)) or ("x",))
 
 
 def is_idempotent(formula: Formula, mode: Mode = DEFAULT_MODE) -> bool:

@@ -50,7 +50,7 @@ from adequate import (
     unpruned_product,
     unpruned_star,
 )
-from adequate.formula import _render_factors
+from adequate.formula import RESERVED, _render_factors
 from adequate.oracles import exists_morphism_bruteforce
 from adequate.solver import _identity_alphabet
 
@@ -114,6 +114,21 @@ def descendants_by_paths(tree: SigmaTree, u: int) -> frozenset:
                 break
             w = parent[w]
     return frozenset(out)
+
+
+def identity_alphabet_by_loop(*texts: str) -> Alphabet:
+    """Reference for ``solver._identity_alphabet``: one pass per character,
+    skipping whitespace (``str.isspace``) and the reserved characters."""
+    letters: list[str] = []
+    seen: set[str] = set()
+    for text in texts:
+        for ch in text:
+            if ch.isspace() or ch in RESERVED:
+                continue
+            if ch not in seen:
+                seen.add(ch)
+                letters.append(ch)
+    return Alphabet(tuple(letters) if letters else ("x",))
 
 
 def oracle_equal_texts(lhs: str, rhs: str) -> bool:

@@ -279,13 +279,14 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@settings(max_examples=200)
-@given(
+_ARGV_PARTS = dict(
     flags=st.lists(st.sampled_from(_FLAGS), max_size=3),
     command=st.sampled_from([("eq", 2), ("nf", 1), ("prune", 1), ("morph", 2)]),
     operands=st.lists(st.tuples(_OPERAND_TEXT, st.booleans()), min_size=2, max_size=2),
 )
-def test_main_is_total(fuzz_dir, flags, command, operands):
+
+
+def _fuzzed_argv(fuzz_dir, flags, command, operands):
     # Operand texts are fuzzed, inline or as @file contents; command words
     # and flags stay valid, since argparse's usage errors take two lines.
     name, arity = command
@@ -297,6 +298,13 @@ def test_main_is_total(fuzz_dir, flags, command, operands):
                 fh.write(text)
             text = f"@{path}"
         argv.append(text)
+    return argv
+
+
+@settings(max_examples=200)
+@given(**_ARGV_PARTS)
+def test_main_is_total(fuzz_dir, flags, command, operands):
+    argv = _fuzzed_argv(fuzz_dir, flags, command, operands)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
@@ -304,3 +312,84 @@ def test_main_is_total(fuzz_dir, flags, command, operands):
     assert code in (0, 1, 2)
     assert len(diagnostic.splitlines()) <= 1
     assert "Traceback" not in diagnostic
+
+
+def _captured(call, argv):
+    # Exit code (argparse's included), stdout and stderr of call(argv).
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _full_parser_only(argv):
+    raise cli._Fallback
+
+
+def _assert_lean_path_changes_nothing(monkeypatch, argv):
+    # main on the lean path against main on build_parser() alone, and where
+    # the lean parse succeeds, its Namespace against the full parser's.
+    lean = _captured(main, argv)
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse_lean", _full_parser_only)
+        full = _captured(main, argv)
+    assert lean == full, argv
+    parsed = _captured(cli.build_parser().parse_args, argv)
+    try:
+        namespace = _captured(cli._parse_lean, argv)
+    except cli._Fallback:
+        return
+    assert namespace == parsed, argv
+
+
+@settings(max_examples=100)
+@given(**_ARGV_PARTS)
+def test_lean_parser_matches_full_parser_on_fuzzed_argv(fuzz_dir, flags, command, operands):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _assert_lean_path_changes_nothing(
+            monkeypatch, _fuzzed_argv(fuzz_dir, flags, command, operands)
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alphabet", "xy", "--mode", "left", "--semigroup", "eq", "x", "x"],
+        ["--swap-sided-ops", "--mode", "right", "nf", "(x)*x"],
+        ["--alphabet", "eq", "nf", "e"],
+        ["--alph", "xy", "eq", "x", "y"],
+        ["--mode=left", "check-identity", "(x)+x", "x"],
+        ["--seed=5", "gen", "--edges", "3"],
+        ["--seed", "-1", "gen", "--edges", "1"],
+        ["--seed", "x", "gen", "--edges", "1"],
+        ["--mode", "up", "eq", "a", "a"],
+        ["--", "eq", "a", "b"],
+        ["eq", "--", "a", "b"],
+        ["frob", "a"],
+        [],
+        ["--semigroup"],
+        ["-h"],
+        ["--help"],
+        ["--he"],
+        ["eq", "-h"],
+        ["gen", "--help"],
+        ["selftest", "--he"],
+        ["--alphabet", "xy", "bench", "-h"],
+        ["--edges", "3", "gen"],
+        ["--dot", "x.dot", "eval", "a"],
+        ["eq", "--alphabet", "xy", "x", "x"],
+        ["eq", "a"],
+        ["eq", "a", "b", "c"],
+        ["gen", "--edges", "x"],
+        ["--s", "eq", "a", "a"],
+        ["--alphabet"],
+        ["prune", "(a)+a"],
+        ["morph", "(a)+a", "a"],
+        ["eval", "(a"],
+    ],
+)
+def test_lean_parser_matches_full_parser(monkeypatch, argv):
+    _assert_lean_path_changes_nothing(monkeypatch, argv)

@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import adequate
 from adequate import generate, oracles
 
@@ -77,8 +79,13 @@ def test_deferred_names_resolve_to_their_modules():
     for name in ("enumerate_trees", "random_formula", "random_relabelling", "random_tree"):
         assert getattr(adequate, name) is getattr(generate, name)
         assert name in adequate.__all__
+    # The test oracles are not exported, apart from the one that
+    # ``benchmark/test_inputs.py`` imports from ``adequate``.
+    for name in ("evaluate_roundtrip_check", "minimal_retract_bruteforce"):
+        assert callable(getattr(oracles, name))
+        with pytest.raises(AttributeError):
+            getattr(adequate, name)
     for name in ("evaluate_roundtrip_check", "exists_morphism_bruteforce", "minimal_retract_bruteforce"):
-        assert getattr(adequate, name) is getattr(oracles, name)
         assert name not in adequate.__all__
     from adequate import exists_morphism_bruteforce, random_tree
 

@@ -28,7 +28,7 @@ from adequate import (
 from adequate import solver
 from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
-from oracles import ensure_admissible_by_walk, oracle_equal_texts
+from oracles import ensure_admissible_by_walk, identity_alphabet_by_loop, oracle_equal_texts
 from strategies import AB, MODES, formulas, random_texts
 
 XY = Alphabet.from_string("xy")
@@ -104,6 +104,24 @@ def test_known_non_identities_confirmed_by_oracle_then_solver():
         assert not oracle_equal_texts(lhs, rhs), (lhs, rhs)
         alphabet = _identity_alphabet(lhs, rhs)
         assert check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is False
+
+
+def _outcome(function, *texts):
+    try:
+        return function(*texts)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def test_identity_alphabet_matches_loop():
+    # Whitespace that is not ASCII (U+00A0, U+2003, U+0085, \x1c) is skipped
+    # like a space; a control character no alphabet admits raises the same
+    # error on both sides.
+    rng = Random(6061)
+    symbols = "xy()+* \t\n\xa0\u2003\x85\x1c\u200b\x00é"
+    for _ in range(3000):
+        texts = ["".join(rng.choices(symbols, k=rng.randrange(12))) for _ in range(rng.randrange(1, 4))]
+        assert _outcome(_identity_alphabet, *texts) == _outcome(identity_alphabet_by_loop, *texts), texts
 
 
 @given(formulas())
