@@ -80,34 +80,35 @@ def _fall_back(*args, **kwargs):
 
 
 def _quiet_parser(**kwargs):
-    # An ArgumentParser that raises _Fallback wherever it would print or exit.
+    """An ``ArgumentParser`` with no help option (``-h`` is a usage error)
+    that raises ``_Fallback`` wherever it would print or exit."""
     import argparse
 
-    parser = argparse.ArgumentParser(**kwargs)
+    parser = argparse.ArgumentParser(add_help=False, **kwargs)
     parser.error = parser.exit = parser.print_help = parser.print_usage = _fall_back
     return parser
 
 
 def _parse_lean(argv):
-    """The full parser's ``Namespace`` for argv, from only the parsers it needs.
+    """The full parser's ``Namespace`` for argv, from one quiet parser.
 
-    A first parse of the global options alone finds the command word, so a
-    global option's value (``--alphabet eq``) is never taken for it; a second
-    parse reads all of argv with the global options and that command's
-    subparser.  Raises ``_Fallback``, having printed nothing, wherever argparse
-    would print: help, a missing or unknown command, or any usage error.
+    Holding the global options alone, the parser finds the command word, so
+    a global option's value (``--alphabet eq``) is never taken for it; then
+    it gains that command's subparser, with a ``prog`` so that no usage line
+    is formatted, and reads all of argv.  Raises ``_Fallback``, having
+    printed nothing, wherever argparse would print: help, a missing or
+    unknown command, or any usage error.
     """
-    first = _quiet_parser(prog="adequate", add_help=False)
-    _add_global_options(first)
-    rest = first.parse_known_args(argv)[1]
+    parser = _quiet_parser(prog="adequate")
+    _add_global_options(parser)
+    rest = parser.parse_known_args(argv)[1]
     if not rest or rest[0] not in _COMMANDS:
         raise _Fallback
-    lean = _quiet_parser(prog="adequate")
-    _add_global_options(lean)
-    _add_command(
-        lean.add_subparsers(dest="command", required=True, parser_class=_quiet_parser), rest[0]
+    subparsers = parser.add_subparsers(
+        dest="command", required=True, prog="adequate", parser_class=_quiet_parser
     )
-    return lean.parse_args(argv)
+    _add_command(subparsers, rest[0])
+    return parser.parse_args(argv)
 
 
 def _mode_from_args(args) -> Mode:

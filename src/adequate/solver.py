@@ -101,10 +101,15 @@ def check_identity(lhs: Formula, rhs: Formula, mode: Mode = DEFAULT_MODE) -> boo
     """Does lhs = rhs hold in every algebra of the mode's variety?
 
     Letters are read as identity variables; the check is the word problem in
-    the free object over the variables that actually occur.
+    the free object over the variables that actually occur.  Formulas that
+    are already over that alphabet (as the CLI grounds them) go to
+    :func:`equal` as they are, and raise its errors; others are parsed
+    again over it first.
     """
     lhs_text, rhs_text = render(lhs), render(rhs)
     alphabet = _identity_alphabet(lhs_text, rhs_text)
+    if lhs.alphabet == alphabet == rhs.alphabet:
+        return equal(lhs, rhs, mode)
     return equal(parse(lhs_text, alphabet, mode), parse(rhs_text, alphabet, mode), mode)
 
 

@@ -4,12 +4,14 @@ These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
 descendant sets come from explicit path enumeration.  The parser, the
 evaluators, the admissibility walk, the traversal, the propagation pass,
-the recursive morphism enumeration, the adjacency-list pruning sweep and
-the breadth-first canonical word that the library replaced with faster
-code are kept here as differential references; the faster code must give
-identical results.  So are the dataclass definitions of the value classes,
-which the library replaced with plain classes that import no
-``dataclasses``.  The propagation pass now also runs a forward pass, so
+the recursive morphism enumeration, the adjacency-list pruning sweep, the
+breadth-first canonical word and the re-grounding identity check that the
+library replaced with faster code are kept here as differential
+references; the faster code must give identical results (the identity
+check: identical answers, and a ``FormulaError`` on both sides where an
+operand does not fit the mode).  So are the dataclass definitions of the
+value classes, which the library replaced with plain classes that import
+no ``dataclasses``.  The propagation pass now also runs a forward pass, so
 its masks are the reference pass's ANDed with ``forward_reach``.
 """
 
@@ -41,8 +43,10 @@ from adequate import (
     VertexMorphism,
     base_tree,
     candidate_sets,
+    equal,
     evaluate,
     parse,
+    render,
     traversal,
     trivial_tree,
     trunk,
@@ -138,6 +142,14 @@ def oracle_equal_texts(lhs: str, rhs: str) -> bool:
     x = evaluate(parse(lhs, alphabet))
     y = evaluate(parse(rhs, alphabet))
     return exists_morphism_bruteforce(x, y) and exists_morphism_bruteforce(y, x)
+
+
+def check_identity_by_regrounding(lhs: Formula, rhs: Formula, mode: Mode) -> bool:
+    """Reference for ``solver.check_identity``: always renders both sides and
+    parses them again over the letters that occur in them."""
+    lhs_text, rhs_text = render(lhs), render(rhs)
+    alphabet = _identity_alphabet(lhs_text, rhs_text)
+    return equal(parse(lhs_text, alphabet, mode), parse(rhs_text, alphabet, mode), mode)
 
 
 def evaluate_by_products(formula: Formula) -> SigmaTree:

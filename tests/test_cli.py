@@ -389,7 +389,38 @@ def test_lean_parser_matches_full_parser_on_fuzzed_argv(fuzz_dir, flags, command
         ["prune", "(a)+a"],
         ["morph", "(a)+a", "a"],
         ["eval", "(a"],
+        # The lean parsers have no help option; each of these falls back.
+        ["-h", "eq", "a", "b"],
+        ["eq", "a", "b", "--help"],
+        ["nf", "--he", "a"],
+        ["--alphabet", "-h", "eq", "a", "b"],
+        ["--mode", "-h", "eq", "a", "a"],
+        ["--alphabet=-h", "nf", "a"],
+        ["eq", "--", "-h", "a"],
+        ["prune", "-h", "(a)+a"],
     ],
 )
 def test_lean_parser_matches_full_parser(monkeypatch, argv):
     _assert_lean_path_changes_nothing(monkeypatch, argv)
+
+
+def test_lean_parse_builds_two_fresh_parsers(monkeypatch):
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    per_call = []
+    for argv in (["eq", "a", "b"], ["--alphabet", "xy", "eq", "x", "y"]):
+        built.clear()
+        assert cli._parse_lean(argv).command == "eq"
+        # The global-options parser and the one subparser.
+        assert len(built) == 2, argv
+        per_call.append(list(built))
+    first, second = per_call
+    assert not any(p is q for p in first for q in second)

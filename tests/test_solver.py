@@ -28,7 +28,12 @@ from adequate import (
 from adequate import solver
 from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
-from oracles import ensure_admissible_by_walk, identity_alphabet_by_loop, oracle_equal_texts
+from oracles import (
+    check_identity_by_regrounding,
+    ensure_admissible_by_walk,
+    identity_alphabet_by_loop,
+    oracle_equal_texts,
+)
 from strategies import AB, MODES, formulas, random_texts
 
 XY = Alphabet.from_string("xy")
@@ -104,6 +109,48 @@ def test_known_non_identities_confirmed_by_oracle_then_solver():
         assert not oracle_equal_texts(lhs, rhs), (lhs, rhs)
         alphabet = _identity_alphabet(lhs, rhs)
         assert check_identity(parse(lhs, alphabet), parse(rhs, alphabet)) is False
+
+
+def _identity_outcome(check, lhs, rhs, mode):
+    # An operand that does not fit the mode raises a FormulaError on both
+    # sides, but not always the same one: check_identity reports equal's
+    # error, and the reference the first error of its parse.
+    try:
+        return check(lhs, rhs, mode)
+    except FormulaError:
+        return FormulaError
+
+
+def _spaced(rng, text):
+    # The text with whitespace put in at random places, as a user may type it.
+    return "".join(ch + rng.choice(("", "", " ", "\t", "\n ")) for ch in text)
+
+
+def test_check_identity_matches_regrounding_reference():
+    # Each pair twice: grounded over its own letters, as the CLI grounds it
+    # (check_identity calls equal on it as it is), and over a wider
+    # alphabet (check_identity parses it again).
+    rng = Random(6262)
+    pairs = list(KNOWN_IDENTITIES + KNOWN_NON_IDENTITIES)
+    for _ in range(150):
+        lhs, rhs = (render(random_formula(rng, XY, max_len=16)) for _ in range(2))
+        pairs.append((_spaced(rng, lhs), _spaced(rng, rhs)))
+    wide = Alphabet.from_string("zyxab")
+    outcomes = set()
+    for lhs, rhs in pairs:
+        own = _identity_alphabet(lhs, rhs)
+        for alphabet in (own, wide):
+            f, g = parse(lhs, alphabet), parse(rhs, alphabet)
+            for mode in MODES:
+                got = _identity_outcome(check_identity, f, g, mode)
+                assert got == _identity_outcome(check_identity_by_regrounding, f, g, mode), (
+                    lhs,
+                    rhs,
+                    alphabet,
+                    mode,
+                )
+                outcomes.add(got)
+    assert outcomes == {True, False, FormulaError}
 
 
 def _outcome(function, *texts):
