@@ -25,6 +25,8 @@ class Record:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values() == other._values()

@@ -70,53 +70,30 @@ def run_selftest(alphabet: Alphabet, seed: int = 0, out=print) -> bool:
     ok = True
 
     trees = enumerate_trees(2, alphabet)
-    bad = sum(
-        1
-        for t1 in trees
-        for t2 in trees
-        if exists_morphism(t1, t2) != exists_morphism_bruteforce(t1, t2)
-    )
-    pairs = len(trees) ** 2
+    pairs = [(t1, t2) for t1 in trees for t2 in trees]
     for _ in range(300):
         t1 = random_tree(rng, rng.randrange(8), alphabet)
-        t2 = random_tree(rng, rng.randrange(8), alphabet)
-        pairs += 1
-        if exists_morphism(t1, t2) != exists_morphism_bruteforce(t1, t2):
-            bad += 1
+        pairs.append((t1, random_tree(rng, rng.randrange(8), alphabet)))
+    bad = sum(exists_morphism(t1, t2) != exists_morphism_bruteforce(t1, t2) for t1, t2 in pairs)
     ok &= bad == 0
-    out(f"morphism-oracle: {pairs} pairs, {bad} disagreements")
+    out(f"morphism-oracle: {len(pairs)} pairs, {bad} disagreements")
 
-    bad = 0
-    cases = 0
-    for tree in trees:
-        cases += 1
-        if canonical_formula(prune(tree).tree) != canonical_formula(
-            minimal_retract_bruteforce(tree)
-        ):
-            bad += 1
-    for _ in range(200):
-        tree = random_tree(rng, rng.randrange(7), alphabet)
-        cases += 1
-        if canonical_formula(prune(tree).tree) != canonical_formula(
-            minimal_retract_bruteforce(tree)
-        ):
-            bad += 1
+    trees += [random_tree(rng, rng.randrange(7), alphabet) for _ in range(200)]
+    bad = sum(
+        canonical_formula(prune(tree).tree) != canonical_formula(minimal_retract_bruteforce(tree))
+        for tree in trees
+    )
     ok &= bad == 0
-    out(f"pruning-oracle: {cases} trees, {bad} disagreements")
+    out(f"pruning-oracle: {len(trees)} trees, {bad} disagreements")
 
     mode = Mode()
+    suite = [(pair, True) for pair in KNOWN_IDENTITIES]
+    suite += [(pair, False) for pair in KNOWN_NON_IDENTITIES]
     failures = 0
-    for lhs, rhs in KNOWN_IDENTITIES:
+    for (lhs, rhs), expected in suite:
         letters = _identity_alphabet(lhs, rhs)
-        if not check_identity(parse(lhs, letters, mode), parse(rhs, letters, mode), mode):
-            failures += 1
-    for lhs, rhs in KNOWN_NON_IDENTITIES:
-        letters = _identity_alphabet(lhs, rhs)
-        if check_identity(parse(lhs, letters, mode), parse(rhs, letters, mode), mode):
+        if check_identity(parse(lhs, letters, mode), parse(rhs, letters, mode), mode) != expected:
             failures += 1
     ok &= failures == 0
-    out(
-        f"identity-suite: {len(KNOWN_IDENTITIES) + len(KNOWN_NON_IDENTITIES)} entries, "
-        f"{failures} failures"
-    )
+    out(f"identity-suite: {len(suite)} entries, {failures} failures")
     return ok

@@ -290,10 +290,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _COMMANDS[args.command][0](args)
-    except Error as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
+    except (Error, ValueError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
     except RecursionError:

@@ -51,29 +51,18 @@ def random_tree(rng: Random, edge_count: int, alphabet: Alphabet) -> SigmaTree:
     for u, v in undirected:
         if rng.random() < 0.5:
             u, v = v, u
-        edges.append([rng.choice(letters), u, v])
+        edges.append((rng.choice(letters), u, v))
     end = rng.randrange(n)
-    # Re-orient the 0 -> end path edge by edge.
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for idx, (_, u, v) in enumerate(edges):
-        incident[u].append((v, idx))
-        incident[v].append((u, idx))
-    parent: list[tuple[int, int] | None] = [None] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w, idx in incident[v]:
-            if not seen[w]:
-                seen[w] = 1
-                parent[w] = (v, idx)
-                stack.append(w)
-    v = end
-    while v != 0:
-        u, idx = parent[v]
-        edges[idx][1], edges[idx][2] = u, v
-        v = u
+    # Re-orient the 0 -> end path: flip each of its edges that the walk
+    # from 0 reads against the arrow.
+    order, position, up, label, _ = SigmaTree(alphabet, n, 0, end, edges)._traversal
+    backwards = set()
+    p = position[end]
+    while p:
+        if label[p] & 1:
+            backwards.add((order[p], order[up[p]]))
+        p = up[p]
+    edges = [(l, t, s) if (s, t) in backwards else (l, s, t) for l, s, t in edges]
     return validate(n, 0, end, edges, alphabet)
 
 

@@ -75,7 +75,7 @@ class CandidateSets(Record):
 
 
 def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
-    if t1.alphabet is not t2.alphabet and t1.alphabet != t2.alphabet:
+    if t1.alphabet != t2.alphabet:
         raise AlphabetMismatch("trees are over different alphabets")
 
 

@@ -47,8 +47,6 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
     present when ``p`` is visited.
     """
     n = tree.vertex_count
-    if n == 1:
-        return frozenset((0,))
     order, _, up, label, size = tree._traversal
     masks = _propagate(tree, tree)
     alive = bytearray([1]) * n

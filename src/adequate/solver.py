@@ -123,10 +123,14 @@ def _identity_alphabet(*texts: str) -> Alphabet:
 
 
 def is_idempotent(formula: Formula, mode: Mode = DEFAULT_MODE) -> bool:
-    """True iff the formula squares to itself; basepoints coincide after pruning."""
+    """True iff the formula squares to itself: its tree's basepoints coincide.
+
+    x² = x exactly when x's pruned tree has an empty trunk, and pruning
+    deletes branches without moving or merging a basepoint; linear time.
+    """
     ensure_admissible(formula, mode)
-    pruned = prune(evaluate(formula)).tree
-    return pruned.start == pruned.end
+    tree = evaluate(formula)
+    return tree.start == tree.end
 
 
 # Identities that hold in every two-sided adequate semigroup, and words that

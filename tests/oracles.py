@@ -5,11 +5,12 @@ machinery: structural keys are built straight from the edge list, and
 descendant sets come from explicit path enumeration.  The parser, the
 evaluators, the admissibility walk, the traversal, the propagation pass,
 the recursive morphism enumeration, the adjacency-list pruning sweep, the
-breadth-first canonical word and the re-grounding identity check that the
-library replaced with faster code are kept here as differential
-references; the faster code must give identical results (the identity
-check: identical answers, and a ``FormulaError`` on both sides where an
-operand does not fit the mode).  So are the dataclass definitions of the
+breadth-first canonical word, the re-grounding identity check, the random
+tree generator's own depth-first search and the idempotence test through
+pruning, which the library replaced with faster or smaller code, are kept
+here as differential references; the replacements must give identical
+results (the identity check: identical answers, and a ``FormulaError`` on
+both sides where an operand does not fit the mode).  So are the dataclass definitions of the
 value classes, which the library replaced with plain classes that import
 no ``dataclasses``.  The propagation pass now also runs a forward pass, so
 its masks are the reference pass's ANDed with ``forward_reach``.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
+from random import Random
 from typing import Iterator, Optional
 
 from adequate import (
@@ -43,9 +45,11 @@ from adequate import (
     VertexMorphism,
     base_tree,
     candidate_sets,
+    ensure_admissible,
     equal,
     evaluate,
     parse,
+    prune,
     render,
     traversal,
     trivial_tree,
@@ -53,8 +57,10 @@ from adequate import (
     unpruned_plus,
     unpruned_product,
     unpruned_star,
+    validate,
 )
 from adequate.formula import RESERVED, _render_factors
+from adequate.generate import _decode_prufer
 from adequate.oracles import exists_morphism_bruteforce
 from adequate.solver import _identity_alphabet
 
@@ -587,6 +593,58 @@ def canonical_word_by_bfs(tree: SigmaTree) -> str:
         parts.append(label)
         parts.append(assemble(v))
     return "".join(parts)
+
+
+def random_tree_by_dfs(rng: Random, edge_count: int, alphabet: Alphabet) -> SigmaTree:
+    """Reference random tree: the generator as it was before it read the
+    0 -> end path off the tree's traversal.  It re-orients that path through
+    a parent array from its own depth-first search over incidence lists, and
+    draws from ``rng`` exactly as the library does."""
+    if edge_count == 0:
+        return trivial_tree(alphabet)
+    n = edge_count + 1
+    if n == 2:
+        undirected = [(0, 1)]
+    else:
+        seq = [rng.randrange(n) for _ in range(n - 2)]
+        undirected = _decode_prufer(seq, n)
+    letters = alphabet.letters
+    edges = []
+    for u, v in undirected:
+        if rng.random() < 0.5:
+            u, v = v, u
+        edges.append([rng.choice(letters), u, v])
+    end = rng.randrange(n)
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for idx, (_, u, v) in enumerate(edges):
+        incident[u].append((v, idx))
+        incident[v].append((u, idx))
+    parent: list[Optional[tuple[int, int]]] = [None] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        for w, idx in incident[v]:
+            if not seen[w]:
+                seen[w] = 1
+                parent[w] = (v, idx)
+                stack.append(w)
+    v = end
+    while v != 0:
+        u, idx = parent[v]
+        edges[idx][1], edges[idx][2] = u, v
+        v = u
+    return validate(n, 0, end, edges, alphabet)
+
+
+def is_idempotent_by_pruning(formula: Formula, mode: Mode) -> bool:
+    """Reference idempotence test: basepoints coincide in the pruned tree,
+    which the library replaced with the same test on the unpruned tree."""
+    ensure_admissible(formula, mode)
+    pruned = prune(evaluate(formula)).tree
+    return pruned.start == pruned.end
+
 
 # The dataclass definitions that the library's value classes replaced, with
 # what shapes their generated methods: the decorator, the fields in order,

@@ -194,6 +194,28 @@ def test_selftest(capsys):
     assert "identity-suite" in out and "0 failures" in out
 
 
+@pytest.mark.parametrize(
+    "letters, seed, lines",
+    [
+        ("ab", 0, ("3109 pairs, 2860 disagreements", "253 trees, 79 disagreements", "17 entries, 5 failures")),
+        ("ab", 3, ("3109 pairs, 2866 disagreements", "253 trees, 87 disagreements", "17 entries, 5 failures")),
+        ("abc", 7, ("12844 pairs, 12328 disagreements", "312 trees, 66 disagreements", "17 entries, 5 failures")),
+    ],
+)
+def test_selftest_detects_broken_decision_procedures(monkeypatch, letters, seed, lines):
+    # Selftest prints only counts, so sabotage what each suite checks and
+    # pin the disagreements it must then report.
+    from adequate import Alphabet, bench
+
+    monkeypatch.setattr(bench, "exists_morphism", lambda t1, t2: True)
+    monkeypatch.setattr(bench, "minimal_retract_bruteforce", lambda tree: tree)
+    monkeypatch.setattr(bench, "check_identity", lambda lhs, rhs, mode: True)
+    out = []
+    assert bench.run_selftest(Alphabet.from_string(letters), seed, out=out.append) is False
+    suites = ("morphism-oracle", "pruning-oracle", "identity-suite")
+    assert out == [f"{suite}: {counts}" for suite, counts in zip(suites, lines)]
+
+
 def test_console_entry_point():
     import subprocess
     import sys

@@ -3,6 +3,7 @@ from __future__ import annotations
 from random import Random
 
 from adequate import (
+    Alphabet,
     Mode,
     Sidedness,
     ensure_admissible,
@@ -18,7 +19,7 @@ from adequate.generate import (
     random_relabelling,
     random_tree,
 )
-from oracles import structural_key
+from oracles import random_tree_by_dfs, structural_key
 
 
 def test_random_tree_deterministic(ab):
@@ -39,6 +40,19 @@ def test_random_tree_valid_and_sized(ab):
         assert len(t.edges) == edges
         assert validate(t.vertex_count, t.start, t.end, t.edges, ab) == t
         assert t.start == 0
+
+
+def test_random_tree_matches_dfs_reference():
+    # The same JSON and the same generator state after every call, along
+    # one stream per seed and alphabet.
+    for letters in ("ab", "abc", "x"):
+        alphabet = Alphabet.from_string(letters)
+        for seed in range(300):
+            rng, ref = Random(seed), Random(seed)
+            for size in (0, 1, 2, 3, 7, 20, 60, 200):
+                tree = random_tree(rng, size, alphabet)
+                assert to_json(tree) == to_json(random_tree_by_dfs(ref, size, alphabet))
+                assert rng.getstate() == ref.getstate()
 
 
 def test_random_relabelling_preserves_iso_class(ab):

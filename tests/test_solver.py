@@ -25,13 +25,14 @@ from adequate import (
     render,
     trivial_tree,
 )
-from adequate import solver
+from adequate import canonical_formula, solver
 from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
 from oracles import (
     check_identity_by_regrounding,
     ensure_admissible_by_walk,
     identity_alphabet_by_loop,
+    is_idempotent_by_pruning,
     oracle_equal_texts,
 )
 from strategies import AB, MODES, formulas, random_texts
@@ -86,6 +87,30 @@ def test_is_idempotent_examples():
 @given(formulas())
 def test_is_idempotent_agrees_with_squaring(f):
     assert is_idempotent(f) == equal(f, concat(f, f))
+
+
+def _answer_or_error(test, formula, mode):
+    try:
+        return test(formula, mode)
+    except FormulaError as exc:
+        return type(exc), str(exc)
+
+
+def test_is_idempotent_matches_pruning_reference(sweep_corpus):
+    # The same answer in every mode, and the same error where the formula
+    # does not fit the mode.
+    rng = Random(6161)
+    cases = [canonical_formula(t) for t in sweep_corpus]
+    for _ in range(600):
+        alphabet = rng.choice((AB, XY, Alphabet.from_string("abc")))
+        cases.append(random_formula(rng, alphabet, rng.randrange(1, 60), rng.choice((None,) + MODES)))
+    answers = set()
+    for f in cases:
+        for mode in MODES:
+            got = _answer_or_error(is_idempotent, f, mode)
+            assert got == _answer_or_error(is_idempotent_by_pruning, f, mode), (render(f), mode)
+            answers.add(got if type(got) is bool else got[0])
+    assert answers == {True, False, EmptyNotAllowed, OpNotInSignature}
 
 
 def test_mode_enforcement():
