@@ -7,6 +7,7 @@ path uses, so the CLI imports this module only when one of them runs.
 from __future__ import annotations
 
 import math
+import statistics
 import time
 from random import Random
 
@@ -53,15 +54,12 @@ def run_bench(
 
 
 def _loglog_slope(points: list[tuple[int, float]]) -> float:
+    # Sizes that do not vary fit no slope; rounding can hide that from the fit.
+    if len({s for s, _ in points}) < 2:
+        return 0.0
     xs = [math.log(s) for s, _ in points]
     ys = [math.log(max(t, 1e-9)) for _, t in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    var = sum((x - mean_x) ** 2 for x in xs)
-    if var == 0:
-        return 0.0
-    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
-    return cov / var
+    return statistics.linear_regression(xs, ys).slope
 
 
 def run_selftest(alphabet: Alphabet, seed: int = 0, out=print) -> bool:

@@ -85,11 +85,6 @@ class Alphabet(Frozen):
         return str.maketrans("", "", "".join(self.letters) + "+*")
 
     @cached_property
-    def _letters(self) -> dict[str, "Letter"]:
-        # One shared Letter per generator, so built factors allocate none.
-        return {ch: Letter(ch) for ch in self.letters}
-
-    @cached_property
     def _omega_table(self) -> dict[int, str]:
         # Word order: generators in alphabet order, then ( ) + *.
         ranks = {ch: i for i, ch in enumerate(self.letters)}
@@ -186,9 +181,6 @@ class Formula(Frozen):
         return hash((self.alphabet, self._text))
 
 
-_OPS = {"+": UnaryOp.PLUS, "*": UnaryOp.STAR}
-
-
 def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     """Check formula text; ``mode`` restricts the signature and emptiness.
 
@@ -226,12 +218,12 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
                 closed = i
             elif ch.isspace():
                 continue
-            elif ch in _OPS:
+            elif ch in "+*":
                 raise DanglingUnary(i, f"{ch!r} must follow a closing parenthesis")
             else:
                 raise UnknownSymbol(i, f"{ch!r}")
         else:
-            if ch not in _OPS:
+            if ch not in "+*":
                 if ch.isspace():
                     continue
                 raise BareGroup(i)
@@ -289,7 +281,6 @@ def _from_text(text: str, alphabet: Alphabet) -> Formula:
 
 def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
     # The syntax nodes of whitespace-free text that parse accepted.
-    letters = alphabet._letters
     top: list[Factor] = []
     outer: list[list[Factor]] = []
     chars = iter(text)
@@ -300,9 +291,9 @@ def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
         elif ch == ")":
             body = Formula(tuple(top), alphabet)
             top = outer.pop()
-            top.append(Unary(_OPS[next(chars)], body))
+            top.append(Unary(UnaryOp(next(chars)), body))
         else:
-            top.append(letters[ch])
+            top.append(Letter(ch))
     return tuple(top)
 
 

@@ -38,14 +38,12 @@ def random_tree(rng: Random, edge_count: int, alphabet: Alphabet) -> SigmaTree:
     vertex 0 to a randomly chosen end vertex is re-oriented forwards so the
     trunk exists.  Fully determined by the generator state.
     """
+    if edge_count < 0:
+        raise ValueError(f"edge_count must be non-negative, got {edge_count}")
     if edge_count == 0:
         return trivial_tree(alphabet)
     n = edge_count + 1
-    if n == 2:
-        undirected = [(0, 1)]
-    else:
-        seq = [rng.randrange(n) for _ in range(n - 2)]
-        undirected = _decode_prufer(seq, n)
+    undirected = _decode_prufer([rng.randrange(n) for _ in range(n - 2)], n)
     letters = alphabet.letters
     edges = []
     for u, v in undirected:

@@ -92,11 +92,11 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
     along ``label[p]`` of a vertex of D(up[p]) lies in D(p), so each final
     mask is the backward pass's mask from full sets, ANDed with D(p).
 
-    With ``_early_exit`` either pass stops at the first empty mask and sets
-    ``masks[0]`` to 0, as every ancestor would end empty; whenever
-    ``masks[0]`` is not 0 the masks are those of the full passes.  If the
-    source has no traversal yet, the forward pass then runs inside the
-    source's traversal walk, which an empty mask stops before it is done.
+    With ``_early_exit`` the forward pass, run inside the source's traversal
+    walk if it has none yet, stops at the first empty mask and sets
+    ``masks[0]`` to 0, as every ancestor would end empty.  The backward pass
+    needs no stop: an empty mask's image empties its parent's mask, and so
+    on up to ``masks[0]``.  If ``masks[0]`` is not 0, both passes ran in full.
 
     A one-bit mask's image is the target's preimage mask of that bit.  A
     wider mask's image is looked up in a memo per signed label; a miss is
@@ -140,11 +140,7 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
         masks.append(mask)
     masks[tr.position[t1.end]] &= 1 << t2.end
     for p in range(n - 1, 0, -1):
-        mask = masks[p]
-        if not mask and _early_exit:
-            masks[0] = 0
-            return masks
-        masks[up[p]] &= image(mask, label[p])
+        masks[up[p]] &= image(masks[p], label[p])
     return masks
 
 
@@ -159,8 +155,9 @@ def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> CandidateSets:
 def exists_morphism(t1: SigmaTree, t2: SigmaTree) -> bool:
     """True iff there is a morphism from ``t1`` to ``t2``.
 
-    Runs the two propagation passes, stopping at the first empty candidate
-    set, and answers from the start vertex's candidate set.
+    Runs the two propagation passes, the forward one stopping at the first
+    empty candidate set, and answers from the start vertex's candidate set;
+    in the backward pass an empty set empties the start's set by itself.
     """
     _check_alphabets(t1, t2)
     return _propagate(t1, t2, _early_exit=True)[0] != 0

@@ -29,9 +29,10 @@ class Mode(Frozen):
     """Variety selector: sidedness and semigroup-versus-monoid.
 
     The one-sided varieties admit a single unary operation: star on the left
-    side and plus on the right.  ``swap_sided_ops`` inverts that pairing in
-    case the opposite convention is wanted.  Semigroup modes forbid the
-    empty formula, whose value would be the identity element.
+    side and plus on the right.  ``swap_sided_ops`` makes left admit exactly
+    what right admits, and the reverse; sidedness reaches the code only
+    through :meth:`allowed_ops`, so two-sided modes ignore it.  Semigroup
+    modes forbid the empty formula, whose value would be the identity element.
     """
 
     __match_args__ = ("sidedness", "semigroup", "swap_sided_ops")
@@ -108,7 +109,7 @@ def check_identity(lhs: Formula, rhs: Formula, mode: Mode = DEFAULT_MODE) -> boo
     """
     lhs_text, rhs_text = render(lhs), render(rhs)
     alphabet = _identity_alphabet(lhs_text, rhs_text)
-    if lhs.alphabet == alphabet == rhs.alphabet:
+    if lhs.alphabet.letters == alphabet.letters == rhs.alphabet.letters:
         return equal(lhs, rhs, mode)
     return equal(parse(lhs_text, alphabet, mode), parse(rhs_text, alphabet, mode), mode)
 

@@ -6,11 +6,13 @@ descendant sets come from explicit path enumeration.  The parser, the
 evaluators, the admissibility walk, the traversal, the propagation pass,
 the recursive morphism enumeration, the adjacency-list pruning sweep, the
 breadth-first canonical word, the re-grounding identity check, the random
-tree generator's own depth-first search and the idempotence test through
-pruning, which the library replaced with faster or smaller code, are kept
-here as differential references; the replacements must give identical
+tree generator's own depth-first search, the idempotence test through
+pruning and the bench's log-log slope from hand-summed moments, which the
+library replaced with faster or smaller code, are kept here as
+differential references; the replacements must give identical
 results (the identity check: identical answers, and a ``FormulaError`` on
-both sides where an operand does not fit the mode).  So are the dataclass definitions of the
+both sides where an operand does not fit the mode; the slope: within
+1e-12 where the sizes vary).  So are the dataclass definitions of the
 value classes, which the library replaced with plain classes that import
 no ``dataclasses``.  The propagation pass now also runs a forward pass, so
 its masks are the reference pass's ANDed with ``forward_reach``.
@@ -18,6 +20,7 @@ its masks are the reference pass's ANDed with ``forward_reach``.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, fields
 from random import Random
@@ -644,6 +647,22 @@ def is_idempotent_by_pruning(formula: Formula, mode: Mode) -> bool:
     ensure_admissible(formula, mode)
     pruned = prune(evaluate(formula)).tree
     return pruned.start == pruned.end
+
+
+def loglog_slope_by_moments(points: list[tuple[int, float]]) -> float:
+    """Reference least-squares slope of log time on log size, from means,
+    variance and covariance summed by hand, which the library replaced with
+    ``statistics.linear_regression``.  It reads 0.0 only where the summed
+    variance is exactly 0, which rounding can miss for equal sizes."""
+    xs = [math.log(s) for s, _ in points]
+    ys = [math.log(max(t, 1e-9)) for _, t in points]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    var = sum((x - mean_x) ** 2 for x in xs)
+    if var == 0:
+        return 0.0
+    cov = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys))
+    return cov / var
 
 
 # The dataclass definitions that the library's value classes replaced, with

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from adequate import cli, render, to_json
 from adequate.cli import main
 from adequate.generate import random_tree
+from oracles import loglog_slope_by_moments
 from strategies import AB, formulas
 
 
@@ -177,13 +178,37 @@ def test_bench_format_and_reps_guard(capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "size,eq_mean_s,prune_mean_s"
     assert len(lines) == 4 and lines[-1].startswith("slope,")
+    for sizes in ("100", "6,6,6"):  # sizes that do not vary fit no slope
+        code, out, _ = run(capsys, "bench", "--sizes", sizes, "--reps", "1")
+        assert code == 0 and out.splitlines()[-1] == "slope,0.000,0.000"
     assert run(capsys, "bench", "--reps", "0")[0] == 2
     assert run(capsys, "bench", "--sizes", "")[0] == 2
+
+
+def test_loglog_slope_matches_moments_reference():
+    # Ladders of 1-8 distinct sizes: the same slope and the same printed
+    # slope.  Sizes that are all equal read 0.0, which the reference misses
+    # where its rounded variance is not 0.
+    from adequate.bench import _loglog_slope
+
+    rng = Random(7070)
+    for _ in range(2000):
+        sizes = sorted(rng.sample(range(1, 12801), rng.randint(1, 8)))
+        points = [(s, rng.uniform(1e-8, 1e-4) * s ** rng.uniform(0.8, 2.2)) for s in sizes]
+        got, want = _loglog_slope(points), loglog_slope_by_moments(points)
+        assert abs(got - want) <= 1e-12 and f"{got:.3f}" == f"{want:.3f}", points
+    missed = 0
+    for size in range(1, 400):
+        points = [(size, rng.random()) for _ in range(rng.randint(1, 8))]
+        assert _loglog_slope(points) == 0.0
+        missed += loglog_slope_by_moments(points) != 0.0
+    assert missed > 0
 
 
 def test_seed_guard(capsys):
     assert run(capsys, "--seed", "-1", "gen", "--edges", "1")[0] == 2
     assert run(capsys, "--seed", str(2**64), "gen", "--edges", "1")[0] == 2
+    assert run(capsys, "gen", "--edges", "-1") == (2, "", "--edges must be non-negative\n")
 
 
 def test_selftest(capsys):

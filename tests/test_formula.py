@@ -177,6 +177,7 @@ def test_alphabet_rejects_bad_letters():
 
 def test_alphabet_index(ab):
     assert ab.index("b") == 1
+    assert "b" in ab and "z" not in ab and "+" not in ab
     with pytest.raises(UnknownSymbol):
         ab.index("z")
 
@@ -247,7 +248,6 @@ def test_parse_matches_reference_across_whitespace():
 
 def test_parse_shares_letters(ab):
     f = parse("ab(a)+", ab)
-    assert f.factors[0] is f.factors[2].body.factors[0]
     assert f.factors[0] == Letter("a")
 
 
@@ -287,7 +287,6 @@ def test_public_formula_api_is_pinned():
         assert f != parse(text, abc) and f != Formula(twin.factors, abc)
         assert f.factors == twin.factors
         letters = list(_letters(f))
-        assert all(letter is AB._letters[letter.letter] for letter in letters)
         assert occurrence_count(f) == occurrence_count(twin) == len(letters)
         assert occurring_letters(f) == tuple(dict.fromkeys(x.letter for x in letters))
         again = pickle.loads(pickle.dumps(f))

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 from random import Random
 
+import pytest
+
 from adequate import (
     Alphabet,
     Mode,
@@ -31,6 +33,16 @@ def test_random_tree_deterministic(ab):
 def test_random_tree_trivial(ab):
     t = random_tree(Random(1), 0, ab)
     assert t.vertex_count == 1 and not t.edges
+
+
+def test_random_tree_rejects_negative_edge_counts(ab):
+    rng = Random(0)
+    state = rng.getstate()
+    for edge_count in (-1, -5):
+        with pytest.raises(ValueError) as info:
+            random_tree(rng, edge_count, ab)
+        assert str(info.value) == f"edge_count must be non-negative, got {edge_count}"
+        assert rng.getstate() == state
 
 
 def test_random_tree_valid_and_sized(ab):

@@ -74,9 +74,14 @@ def test_bruteforce_trivial_cases(ab):
 
 
 def test_extract_examples(ab):
-    witness = extract_morphism(evaluate(parse("(a)+a", ab)), base_tree("a", ab))
+    source, target = evaluate(parse("(a)+a", ab)), base_tree("a", ab)
+    witness = extract_morphism(source, target)
     assert witness.mapping == (0, 1, 1)
+    # Too short, an image out of range, the start moved.
+    for mapping in ((0, 1), (0, 1, 2), (1, 1, 1)):
+        assert is_morphism(source, target, mapping) is False
     assert extract_morphism(base_tree("a", ab), base_tree("a", ab)).mapping == (0, 1)
+    assert [witness(v) for v in range(3)] == [0, 1, 1]
     assert extract_morphism(base_tree("a", ab), base_tree("b", ab)) is None
 
 

@@ -260,6 +260,30 @@ def test_swap_sided_ops_inverts_signature():
         equal(parse("(x)*", XY), parse("x", XY), swapped)
 
 
+_OTHER_SIDE = {
+    Sidedness.LEFT: Sidedness.RIGHT,
+    Sidedness.RIGHT: Sidedness.LEFT,
+    Sidedness.TWO_SIDED: Sidedness.TWO_SIDED,
+}
+
+
+def _parse_outcome(text, mode):
+    try:
+        return render(parse(text, AB, mode))
+    except FormulaError as exc:
+        return type(exc), exc.offset, str(exc)
+
+
+def test_swap_sided_ops_trades_the_one_sided_signatures():
+    # With the flag, left admits exactly what right admits without it, and
+    # the reverse; the two-sided modes admit the same either way.
+    texts = random_texts()
+    for mode in MODES:
+        other = Mode(_OTHER_SIDE[mode.sidedness], mode.semigroup, not mode.swap_sided_ops)
+        assert mode.allowed_ops() == other.allowed_ops()
+        assert [_parse_outcome(t, mode) for t in texts] == [_parse_outcome(t, other) for t in texts]
+
+
 def test_semigroup_mode_round_trip():
     semi = Mode(semigroup=True)
     f = parse("(x)+x", XY, semi)

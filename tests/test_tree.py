@@ -8,6 +8,7 @@ from hypothesis import given
 
 from adequate import (
     Alphabet,
+    AlphabetMismatch,
     BadVertexId,
     Edge,
     Formula,
@@ -104,6 +105,8 @@ def test_unpruned_product_examples(ab):
     assert shape(unpruned_product(trivial_tree(ab), a)) == shape(a)
     plus_a = evaluate(parse("(a)+", ab))
     assert shape(unpruned_product(plus_a, a)) == (3, 0, 2, (Edge("a", 0, 1), Edge("a", 0, 2)))
+    with pytest.raises(AlphabetMismatch):
+        unpruned_product(a, base_tree("a", Alphabet.from_string("abc")))
 
 
 def test_unpruned_plus_star(ab):
