@@ -119,15 +119,6 @@ class SigmaTree(Frozen):
     def _traversal(self) -> _Walk:
         return _compute_traversal(self)
 
-    def _walk_carrying(self, carried: list[int], step) -> Optional[_Walk]:
-        # The traversal walk with a value carried down it (see
-        # _compute_traversal); a completed walk is cached, a stopped one
-        # gives None.
-        walk = _compute_traversal(self, carried, step)
-        if walk is not None:
-            self.__dict__["_traversal"] = walk
-        return walk
-
 
 def validate(
     vertex_count: int,
@@ -264,12 +255,16 @@ def evaluate(formula: Formula) -> SigmaTree:
 def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, step=None) -> Optional[_Walk]:
     """The walk that :func:`traversal` describes, as flat lists by position.
 
-    With ``step``, ``carried`` holds the start's value, and the walk
-    appends the value of each later position as it reaches it:
-    ``step(value, s)`` of its parent's value, s being the signed label read
-    from the child back to the parent.  A 0 stops the walk, which then
-    gives None.
+    The one owner of the tree's walk cache: a cached walk is returned as it
+    is, carrying nothing, and a walk run to its end is cached.  With
+    ``step``, ``carried`` holds the start's value, and the walk appends the
+    value of each later position as it reaches it: ``step(value, s)`` of its
+    parent's value, s being the signed label read from the child back to the
+    parent.  A 0 stops the walk, which then caches nothing and gives None.
     """
+    cached = vars(tree).get("_traversal")
+    if cached is not None:
+        return cached
     n = tree.vertex_count
     index = tree.alphabet._index
     # Per vertex: s * n + w for each neighbour w reached along signed label
@@ -321,7 +316,8 @@ def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, ste
     size = [1] * len(order)
     for p in range(len(order) - 1, 0, -1):
         size[up[p]] += size[p]
-    return _Walk(order, position, up, label, size)
+    walk = vars(tree)["_traversal"] = _Walk(order, position, up, label, size)
+    return walk
 
 
 def traversal(tree: SigmaTree) -> TraversalOrder:

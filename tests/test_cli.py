@@ -209,6 +209,10 @@ def test_seed_guard(capsys):
     assert run(capsys, "--seed", "-1", "gen", "--edges", "1")[0] == 2
     assert run(capsys, "--seed", str(2**64), "gen", "--edges", "1")[0] == 2
     assert run(capsys, "gen", "--edges", "-1") == (2, "", "--edges must be non-negative\n")
+    # Global options go before the command word.
+    code, out, err = _captured(main, ["gen", "--edges", "3", "--seed", "5"])
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "adequate: error: unrecognized arguments: --seed 5"
 
 
 def test_selftest(capsys):
@@ -410,6 +414,7 @@ def test_lean_parser_matches_full_parser_on_fuzzed_argv(fuzz_dir, flags, command
         ["--alph", "xy", "eq", "x", "y"],
         ["--mode=left", "check-identity", "(x)+x", "x"],
         ["--seed=5", "gen", "--edges", "3"],
+        ["gen", "--edges", "3", "--seed", "5"],
         ["--seed", "-1", "gen", "--edges", "1"],
         ["--seed", "x", "gen", "--edges", "1"],
         ["--mode", "up", "eq", "a", "a"],

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
 from random import Random
 
 import pytest
@@ -487,12 +489,21 @@ def _fresh(tree):
     return SigmaTree(tree.alphabet, tree.vertex_count, tree.start, tree.end, tree.edges)
 
 
+def _reach_step(t2):
+    # The forward pass's step without a memo: a mask's image along signed
+    # label s is the union of the preimage masks of its bits.
+    pre = t2._preimages
+    return lambda mask, s: reduce(or_, (pre[s][v] for v in range(t2.vertex_count) if mask >> v & 1), 0)
+
+
 def _check_walk(t1, t2, oracles=True):
     # From fresh copies of t1: the answer, the early-exit masks and the
     # witness agree with the reference, and the walk is cached, as the
-    # untouched walk, exactly when it was not stopped.  The reference is the
-    # oracles (with the brute force and the scan witness), or else the full
-    # pass, which walks a cached traversal.  Returns whether the walk stopped.
+    # untouched walk, exactly when it was not stopped.  A source whose walk
+    # is cached runs both passes in full and carries nothing down its walk.
+    # The reference is the oracles (with the brute force and the scan
+    # witness), or else the full pass, which walks a cached traversal.
+    # Returns whether the walk stopped.
     expected = _reference_masks(_fresh(t1), t2) if oracles else _propagate(_fresh(t1), t2)
     source = _fresh(t1)
     answer = exists_morphism(source, t2)
@@ -502,17 +513,29 @@ def _check_walk(t1, t2, oracles=True):
         assert not answer
     else:
         assert vars(source)["_traversal"] == _compute_traversal(_fresh(t1))
-    early = _propagate(_fresh(t1), t2, _early_exit=True)
-    if answer:
-        assert early == expected
+        assert _compute_traversal(source) is source._traversal
+    carrier = _fresh(t1)
+    reach = [1 << t2.start]
+    walk = _compute_traversal(carrier, reach, _reach_step(t2))
+    assert (walk is None) == stopped
+    if stopped:
+        assert "_traversal" not in vars(carrier)
     else:
-        assert early[0] == 0
+        assert vars(carrier)["_traversal"] is walk
+    early = _propagate(_fresh(t1), t2, _early_exit=True)
+    assert early == ([0] * t1.vertex_count if stopped else expected)
     witness = extract_morphism(_fresh(t1), t2)
     walked = _fresh(t1)
     traversal(walked)  # cached, so this extraction runs the forward loop
     assert witness == extract_morphism(walked, t2)
+    carried = [1 << t2.start]
+    assert _compute_traversal(walked, carried, _reach_step(t2)) is walked._traversal
+    assert carried == [1 << t2.start]
+    assert _propagate(walked, t2, _early_exit=True) == _propagate(walked, t2)
     if oracles:
         assert stopped == (0 in forward_reach(_fresh(t1), t2))
+        if not stopped:
+            assert reach == forward_reach(_fresh(t1), t2)
         assert answer == exists_morphism_bruteforce(_fresh(t1), t2)
         assert witness == extract_morphism_by_scan(_fresh(t1), t2)
     return stopped

@@ -21,3 +21,15 @@ def test_library_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_only_tree_names_the_traversal_cache_key():
+    # tree._compute_traversal owns the walk cache; other modules read the
+    # walk through it or the _traversal attribute, never the instance dict.
+    named = {
+        path.name
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Constant) and node.value == "_traversal"
+    }
+    assert named == {"tree.py"}
