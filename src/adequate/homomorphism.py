@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import tree
 from ._record import Frozen, Record
 from .errors import AlphabetMismatch
 from .tree import SigmaTree
@@ -93,18 +92,20 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
     along ``label[p]`` of a vertex of D(up[p]) lies in D(p), so each final
     mask is the backward pass's mask from full sets, ANDed with D(p).
 
-    With ``_early_exit`` and a source whose traversal is not cached yet, the
-    forward pass runs inside the traversal walk, which stops at the first
-    empty mask; the result is then all 0, as every ancestor would end empty.
-    A cached source runs both passes in full.  The backward pass needs no
-    stop: an empty mask's image empties its parent's mask, and so on up to
-    ``masks[0]``.  Unless the walk stopped, the masks are the full passes'.
+    With ``_early_exit`` the forward pass stops at the first empty mask and
+    the result is all 0, as every ancestor would end empty.  The backward
+    pass needs no stop: an empty mask's image empties its parent's mask, and
+    so on up to ``masks[0]``.  Unless the forward pass stopped, the masks
+    are the full passes'.  Either way the source's traversal is walked in
+    full and cached.
 
     A one-bit mask's image is the target's preimage mask of that bit.  A
     wider mask's image is looked up in a memo per signed label; a miss is
     the union of the preimage masks of its bits.  Without the memo, a star
     of k like-labelled leaves would walk the same k-bit mask at every leaf.
     """
+    tr = t1._traversal
+    up, label = tr.up, tr.label
     n = t1.vertex_count
     preimages = t2._preimages
     memos: list[dict[int, int]] = [{} for _ in preimages]
@@ -125,14 +126,13 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
             memo[mask] = found
         return found
 
-    masks = [1 << t2.start]
-    tr = tree._compute_traversal(t1, masks, image if _early_exit else None)
-    if tr is None:
-        return [0] * n
-    up, label = tr.up, tr.label
-    # Positions that the walk did not carry a mask to: all of them, or none.
-    for p in range(len(masks), n):
-        masks.append(image(masks[up[p]], label[p] ^ 1))
+    masks = [0] * n
+    masks[0] = 1 << t2.start
+    for p in range(1, n):
+        mask = image(masks[up[p]], label[p] ^ 1)
+        if not mask and _early_exit:
+            return [0] * n
+        masks[p] = mask
     masks[tr.position[t1.end]] &= 1 << t2.end
     for p in range(n - 1, 0, -1):
         masks[up[p]] &= image(masks[p], label[p])
@@ -151,10 +151,8 @@ def exists_morphism(t1: SigmaTree, t2: SigmaTree) -> bool:
     """True iff there is a morphism from ``t1`` to ``t2``.
 
     Runs the two propagation passes and answers from the start vertex's
-    candidate set; in the backward pass an empty set empties the start's
-    set by itself.  Only the traversal walk of a source that has none
-    cached stops early, at the first empty set; a cached source runs both
-    passes in full.
+    candidate set.  The forward pass stops at the first empty set; in the
+    backward pass an empty set empties the start's set by itself.
     """
     _check_alphabets(t1, t2)
     return _propagate(t1, t2, _early_exit=True)[0] != 0
@@ -165,8 +163,8 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
 
     Images are assigned in traversal order, always choosing the least
     admissible target vertex, so the witness is deterministic.  The
-    propagation passes stop early as in :func:`exists_morphism`: only in
-    the traversal walk of a source that has none cached.
+    forward pass stops at the first empty set, as in
+    :func:`exists_morphism`.
     """
     _check_alphabets(t1, t2)
     masks = _propagate(t1, t2, _early_exit=True)

@@ -42,10 +42,10 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
     # Per signed label, in edge order: pairs (x, y) such that there is an
     # edge so labelled from x to y.  Built here so that the oracle shares no
     # target index with the propagation pass it judges.
-    index = t2.alphabet._index
-    groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(index))]
+    alphabet = t2.alphabet
+    groups: list[list[tuple[int, int]]] = [[] for _ in range(2 * len(alphabet))]
     for letter, s, t in t2.edges:
-        k = 2 * index[letter]
+        k = 2 * alphabet.index(letter)  # raises UnknownSymbol
         groups[k].append((s, t))
         groups[k + 1].append((t, s))
     if t1.start == t1.end and t2.start != t2.end:

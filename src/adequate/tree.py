@@ -252,19 +252,13 @@ def evaluate(formula: Formula) -> SigmaTree:
     )
 
 
-def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, step=None) -> Optional[_Walk]:
+def _compute_traversal(tree: SigmaTree) -> _Walk:
     """The walk that :func:`traversal` describes, as flat lists by position.
 
-    The one owner of the tree's walk cache: a cached walk is returned as it
-    is, carrying nothing, and a walk run to its end is cached.  With
-    ``step``, ``carried`` holds the start's value, and the walk appends the
-    value of each later position as it reaches it: ``step(value, s)`` of its
-    parent's value, s being the signed label read from the child back to the
-    parent.  A 0 stops the walk, which then caches nothing and gives None.
+    Always a whole new walk; ``SigmaTree._traversal`` calls it once per tree,
+    by this module-level name (which ``benchmark/spans.py`` wraps to time
+    every walk), and caches the result.
     """
-    cached = vars(tree).get("_traversal")
-    if cached is not None:
-        return cached
     n = tree.vertex_count
     index = tree.alphabet._index
     # Per vertex: s * n + w for each neighbour w reached along signed label
@@ -296,11 +290,6 @@ def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, ste
     while stack:
         v = stack.pop()
         p = len(order)
-        if p and step is not None:
-            value = step(carried[via_up[v]], via_label[v] ^ 1)
-            if not value:
-                return None
-            carried.append(value)
         position[v] = p
         order.append(v)
         for e in reversed(adj[v]):
@@ -316,8 +305,7 @@ def _compute_traversal(tree: SigmaTree, carried: Optional[list[int]] = None, ste
     size = [1] * len(order)
     for p in range(len(order) - 1, 0, -1):
         size[up[p]] += size[p]
-    walk = vars(tree)["_traversal"] = _Walk(order, position, up, label, size)
-    return walk
+    return _Walk(order, position, up, label, size)
 
 
 def traversal(tree: SigmaTree) -> TraversalOrder:

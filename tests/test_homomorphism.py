@@ -30,6 +30,7 @@ from adequate import (
     unpruned_plus,
     unpruned_product,
 )
+import adequate.tree
 from adequate import homomorphism
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
 from adequate.homomorphism import _propagate
@@ -96,13 +97,15 @@ def test_alphabet_mismatch(ab):
 
 
 def test_label_outside_the_alphabet_raises_unknown_symbol(ab):
-    # Unvalidated trees: the target's preimage table and the source's
-    # traversal both reject the label by the alphabet's own check.
+    # Unvalidated trees: the target's preimage table, the oracle's target
+    # edge groups and the source's traversal all reject the label by the
+    # alphabet's own check.
     stray = SigmaTree(ab, 2, 0, 1, (("z", 0, 1),))
-    with pytest.raises(UnknownSymbol):
-        exists_morphism(base_tree("a", ab), stray)
-    with pytest.raises(UnknownSymbol):
-        exists_morphism(stray, base_tree("a", ab))
+    for decide in (exists_morphism, exists_morphism_bruteforce):
+        with pytest.raises(UnknownSymbol):
+            decide(base_tree("a", ab), stray)
+        with pytest.raises(UnknownSymbol):
+            decide(stray, base_tree("a", ab))
 
 
 def test_exhaustive_agreement_small(small_tree_corpus):
@@ -484,61 +487,77 @@ def test_extract_raises_on_unsupported_candidate(ab, monkeypatch):
 
 
 def _fresh(tree):
-    # A copy with nothing cached, so that a morphism test from it runs its
-    # forward pass inside the traversal walk.
+    # A copy with nothing cached: the first morphism test from it walks its
+    # traversal, in full, and caches the walk.
     return SigmaTree(tree.alphabet, tree.vertex_count, tree.start, tree.end, tree.edges)
 
 
-def _reach_step(t2):
-    # The forward pass's step without a memo: a mask's image along signed
-    # label s is the union of the preimage masks of its bits.
+def _reach(t1, t2):
+    # D(p) per traversal position, by a forward pass without a memo: a
+    # mask's image along signed label s is the union of the preimage masks
+    # of its bits.
+    walk = _compute_traversal(t1)
     pre = t2._preimages
-    return lambda mask, s: reduce(or_, (pre[s][v] for v in range(t2.vertex_count) if mask >> v & 1), 0)
+    reach = [1 << t2.start]
+    for p in range(1, t1.vertex_count):
+        mask, back = reach[walk.up[p]], pre[walk.label[p] ^ 1]
+        reach.append(reduce(or_, (back[v] for v in range(mask.bit_length()) if mask >> v & 1), 0))
+    return reach
 
 
 def _check_walk(t1, t2, oracles=True):
-    # From fresh copies of t1: the answer, the early-exit masks and the
-    # witness agree with the reference, and the walk is cached, as the
-    # untouched walk, exactly when it was not stopped.  A source whose walk
-    # is cached runs both passes in full and carries nothing down its walk.
-    # The reference is the oracles (with the brute force and the scan
-    # witness), or else the full pass, which walks a cached traversal.
-    # Returns whether the walk stopped.
-    expected = _reference_masks(_fresh(t1), t2) if oracles else _propagate(_fresh(t1), t2)
-    source = _fresh(t1)
-    answer = exists_morphism(source, t2)
-    assert answer == (expected[0] != 0)
-    stopped = "_traversal" not in vars(source)
-    if stopped:
-        assert not answer
-    else:
-        assert vars(source)["_traversal"] == _compute_traversal(_fresh(t1))
-        assert _compute_traversal(source) is source._traversal
-    carrier = _fresh(t1)
-    reach = [1 << t2.start]
-    walk = _compute_traversal(carrier, reach, _reach_step(t2))
-    assert (walk is None) == stopped
-    if stopped:
-        assert "_traversal" not in vars(carrier)
-    else:
-        assert vars(carrier)["_traversal"] is walk
-    early = _propagate(_fresh(t1), t2, _early_exit=True)
-    assert early == ([0] * t1.vertex_count if stopped else expected)
-    witness = extract_morphism(_fresh(t1), t2)
-    walked = _fresh(t1)
-    traversal(walked)  # cached, so this extraction runs the forward loop
-    assert witness == extract_morphism(walked, t2)
-    carried = [1 << t2.start]
-    assert _compute_traversal(walked, carried, _reach_step(t2)) is walked._traversal
-    assert carried == [1 << t2.start]
-    assert _propagate(walked, t2, _early_exit=True) == _propagate(walked, t2)
+    # From a fresh and from a cached copy of t1, the early-exit masks are
+    # the same: all 0 when some forward set D(p) is empty, else the full
+    # pass's.  The answer, the witness and the candidate sets agree with
+    # the reference, and every morphism test leaves the source's walk
+    # cached, equal to the walk of a fresh copy.  The reference is the
+    # oracles (with the brute force and the scan witness), or else the full
+    # pass and a forward pass without a memo.  Returns whether the forward
+    # pass stopped.
+    n = t1.vertex_count
     if oracles:
-        assert stopped == (0 in forward_reach(_fresh(t1), t2))
-        if not stopped:
-            assert reach == forward_reach(_fresh(t1), t2)
+        expected = _reference_masks(_fresh(t1), t2)
+        stopped = 0 in forward_reach(_fresh(t1), t2)
+    else:
+        expected = _propagate(_fresh(t1), t2)
+        stopped = 0 in _reach(_fresh(t1), t2)
+    walk = _compute_traversal(_fresh(t1))
+    cached = _fresh(t1)
+    traversal(cached)
+    early = _propagate(_fresh(t1), t2, _early_exit=True)
+    assert _propagate(cached, t2, _early_exit=True) == early
+    assert early == ([0] * n if stopped else expected)
+    sources = [_fresh(t1) for _ in range(3)] + [cached]
+    answer = exists_morphism(sources[0], t2)
+    assert answer == (expected[0] != 0)
+    witness = extract_morphism(sources[1], t2)
+    assert witness == extract_morphism(cached, t2)
+    assert candidate_sets(sources[2], t2).masks == expected
+    for source in sources:
+        assert vars(source)["_traversal"] == walk
+    if oracles:
         assert answer == exists_morphism_bruteforce(_fresh(t1), t2)
         assert witness == extract_morphism_by_scan(_fresh(t1), t2)
     return stopped
+
+
+def test_each_tree_is_walked_once_through_the_module_name(ab, monkeypatch):
+    # The benchmark's tracer wraps tree._compute_traversal, so every walk
+    # must go through that module-level name, and a tree is walked at most
+    # once: the source of each direction that runs, never a target.
+    walks = []
+    compute = adequate.tree._compute_traversal
+    monkeypatch.setattr(adequate.tree, "_compute_traversal", lambda t: walks.append(t) or compute(t))
+    assert equal(parse("(a)+a", ab), parse("a", ab))
+    assert len(walks) == 2
+    walks.clear()
+    assert not equal(parse("ab", ab), parse("ba", ab))
+    assert len(walks) == 1
+    x, y = evaluate(parse("(b)+b", ab)), evaluate(parse("b", ab))
+    assert exists_morphism(x, y) and exists_morphism(y, x)
+    walks.clear()
+    assert exists_morphism(x, y) and exists_morphism(y, x)
+    assert walks == []
 
 
 def test_walk_from_fresh_sources_on_small_pairs(ab):
@@ -555,9 +574,9 @@ def test_walk_from_fresh_sources_on_small_pairs(ab):
 
 
 def test_walk_from_fresh_sources_on_the_sweep_corpus(sweep_corpus):
-    # Each tree into itself, where the walk completes, and into the next
-    # tree over its alphabet, where it mostly stops.  The oracles judge the
-    # trees of up to 40 vertices.
+    # Each tree into itself, where the forward pass completes, and into the
+    # next tree over its alphabet, where it mostly stops.  The oracles judge
+    # the trees of up to 40 vertices.
     stopped = 0
     for i, x in enumerate(sweep_corpus):
         y = next(t for t in sweep_corpus[i + 1 :] + sweep_corpus if t.alphabet == x.alphabet)
