@@ -117,7 +117,7 @@ def _mode_from_args(args) -> Mode:
 
 def _read_source(arg: str) -> str:
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
+        with open(arg[1:], encoding="utf-8-sig") as fh:
             return fh.read()
     return arg
 

@@ -195,12 +195,9 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     that walk a ``)`` waits for its operator; only whitespace may come in
     between.
     """
-    # The admitted operator characters, so that a ")" tests a character and
-    # hashes no UnaryOp.
-    allowed = "+*" if mode is None else "".join(op.value for op in mode.allowed_ops())
-    allow_empty = mode is None or not mode.semigroup
+    allowed, allow_empty = _mode_rules(mode)
     stripped = "".join(text.split())
-    if _is_formula(stripped, alphabet, allowed, allow_empty):
+    if _is_formula(stripped, alphabet) and _admits(stripped, allowed, allow_empty):
         return _from_text(stripped, alphabet)
     known = alphabet._index
     depth = 0
@@ -249,7 +246,7 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
 _DEPTH_STEPS = bytes.maketrans(b"()", b"\x01\xff")
 
 
-def _is_formula(text: str, alphabet: Alphabet, allowed: str, allow_empty: bool) -> bool:
+def _is_formula(text: str, alphabet: Alphabet) -> bool:
     """Whether whitespace-free text is a formula, by string operations.
 
     Its parentheses are all that is left once generators and operators
@@ -257,20 +254,31 @@ def _is_formula(text: str, alphabet: Alphabet, allowed: str, allow_empty: bool) 
     follows a ``)``; no prefix closes more groups than it opens, and all
     groups close.  Every formula meets these, and so does the body of
     every group of a text that meets them, so by induction only formulas
-    do.  Then the mode: no operator outside ``allowed``, and no empty
-    formula or group unless ``allow_empty``.
+    do.
     """
     parens = text.translate(alphabet._parens_only)
     closes = text.count(")")
-    plus, star = text.count("+"), text.count("*")
     return (
         len(parens) == 2 * closes == 2 * text.count("(")
-        and closes == text.count(")+") + text.count(")*") == plus + star
+        and closes == text.count(")+") + text.count(")*") == text.count("+") + text.count("*")
         and min(accumulate(memoryview(parens.encode().translate(_DEPTH_STEPS)).cast("b")), default=0) >= 0
-        and (not plus or "+" in allowed)
-        and (not star or "*" in allowed)
-        and (allow_empty or (text != "" and "()" not in text))
     )
+
+
+def _mode_rules(mode: "Mode | None") -> tuple[str, bool]:
+    # The admitted operator characters, so that a ")" tests a character and
+    # hashes no UnaryOp, and whether empty formulas and groups are admitted.
+    if mode is None:
+        return "+*", True
+    return "".join(op.value for op in mode.allowed_ops()), not mode.semigroup
+
+
+def _admits(text: str, allowed: str, allow_empty: bool) -> bool:
+    # Whether formula text fits a mode: no operator outside ``allowed``, and
+    # no empty formula or group unless ``allow_empty``.  Where it does not,
+    # parse of the text raises its first fault.
+    ops_ok = all(op in allowed or op not in text for op in "+*")
+    return ops_ok and (allow_empty or (text != "" and "()" not in text))
 
 
 def _from_text(text: str, alphabet: Alphabet) -> Formula:

@@ -4,6 +4,8 @@ Two formulas denote the same element exactly when their evaluated trees map
 into each other; equivalently, when their normal forms coincide.  Identity
 checking over a variety reduces to the word problem in the free object on
 the occurring variables, so the same machinery answers both questions.
+Each raises, for a formula that does not fit its mode, the error that
+:func:`parse` raises for the formula's text in that mode, offset included.
 """
 
 from __future__ import annotations
@@ -12,8 +14,8 @@ from enum import Enum
 
 from ._record import Frozen
 from .canonical import canonical_formula
-from .errors import AlphabetMismatch, EmptyNotAllowed, OpNotInSignature
-from .formula import Alphabet, Formula, UnaryOp, _first_occurrences, parse, render
+from .errors import AlphabetMismatch
+from .formula import Alphabet, Formula, UnaryOp, _admits, _first_occurrences, _mode_rules, parse, render
 from .homomorphism import exists_morphism
 from .pruning import prune
 from .tree import evaluate
@@ -54,23 +56,11 @@ DEFAULT_MODE = Mode()
 
 
 def ensure_admissible(formula: Formula, mode: Mode) -> None:
-    """Raise unless the formula fits the mode's signature and emptiness rules.
-
-    Reads the rendered text.  An empty group is ``"()"`` there, and a
-    group's operator follows its body, so the rightmost offending group is
-    the one a walk of the syntax tree (later factors first, each group
-    before its body) reports, and its operator is checked first.
-    """
+    """Raise what ``parse(render(formula), formula.alphabet, mode)`` raises,
+    if anything: the first fault in text order, with its offset."""
     text = formula._text
-    if mode.semigroup and not text:
-        raise EmptyNotAllowed(detail="empty formula in semigroup mode")
-    empty_at = text.rfind("()") if mode.semigroup else -1
-    allowed = mode.allowed_ops()
-    for op in UnaryOp:
-        if op not in allowed and text.rfind(op.value) > empty_at:
-            raise OpNotInSignature(detail=f"{op.value!r} is not in the signature of this mode")
-    if empty_at >= 0:
-        raise EmptyNotAllowed(detail="empty group in semigroup mode")
+    if not _admits(text, *_mode_rules(mode)):
+        parse(text, formula.alphabet, mode)
 
 
 def equal(f1: Formula, f2: Formula, mode: Mode = DEFAULT_MODE) -> bool:

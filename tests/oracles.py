@@ -3,8 +3,7 @@
 These deliberately avoid the library's own traversal / canonical-word
 machinery: structural keys are built straight from the edge list, and
 descendant sets come from explicit path enumeration.  The parser, the
-evaluators, the admissibility walk, the traversal, the propagation pass,
-the recursive morphism enumeration, the adjacency-list pruning sweep, the
+evaluators, the traversal, the propagation pass, the recursive morphism enumeration, the adjacency-list pruning sweep, the
 breadth-first canonical word, the re-grounding identity check, the random
 tree generator's own depth-first search, the idempotence test through
 pruning and the bench's log-log slope from hand-summed moments, which the
@@ -240,25 +239,6 @@ def evaluate_by_nodes(formula: Formula) -> SigmaTree:
         ids[cursor],
         tuple((label, ids[s], ids[t]) for label, s, t in edges),
     )
-
-
-def ensure_admissible_by_walk(formula: Formula, mode: Mode) -> None:
-    """Reference admissibility check: a walk of the syntax nodes that the
-    text check replaced."""
-    allowed = mode.allowed_ops()
-    if mode.semigroup and not formula.factors:
-        raise EmptyNotAllowed(detail="empty formula in semigroup mode")
-    stack = list(formula.factors)
-    while stack:
-        item = stack.pop()
-        if type(item) is Unary:
-            if item.op not in allowed:
-                raise OpNotInSignature(
-                    detail=f"{item.op.value!r} is not in the signature of this mode"
-                )
-            if mode.semigroup and not item.body.factors:
-                raise EmptyNotAllowed(detail="empty group in semigroup mode")
-            stack.extend(item.body.factors)
 
 
 def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:

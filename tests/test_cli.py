@@ -172,6 +172,18 @@ def test_file_reference(capsys, tmp_path):
     assert code == 0 and out.strip() == "(a)+(b)+"
 
 
+def test_file_reference_with_a_byte_order_mark(capsys, tmp_path):
+    # A UTF-8 byte-order mark at the start of a file is not part of its text.
+    tree = '{"alphabet":"ab","n":3,"start":0,"end":2,"edges":[{"l":"a","s":0,"t":1},{"l":"a","s":0,"t":2}]}'
+    for name, command, text in (("bom.json", "prune", tree), ("bom.txt", "nf", "(b)+(a)+")):
+        plain, marked = tmp_path / f"plain-{name}", tmp_path / name
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        expected = run(capsys, command, f"@{plain}")
+        assert expected[0] == 0 and expected[2] == ""
+        assert run(capsys, command, f"@{marked}") == expected
+
+
 def test_bench_format_and_reps_guard(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "8,16", "--reps", "1")
     assert code == 0

@@ -30,7 +30,6 @@ from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
 from oracles import (
     check_identity_by_regrounding,
-    ensure_admissible_by_walk,
     identity_alphabet_by_loop,
     is_idempotent_by_pruning,
     oracle_equal_texts,
@@ -328,28 +327,58 @@ def _admissibility(check, formula, mode):
     return None
 
 
-def _assert_text_check_matches_walk(f):
+def _parse_rendered(formula, mode):
+    parse(render(formula), formula.alphabet, mode)
+
+
+def _assert_text_check_matches_parse(f):
     for mode in MODES:
         got = _admissibility(solver.ensure_admissible, f, mode)
-        assert got == _admissibility(ensure_admissible_by_walk, f, mode), (render(f), mode)
+        assert got == _admissibility(_parse_rendered, f, mode), (render(f), mode)
 
 
-def test_ensure_admissible_matches_walk_on_random_texts():
+def test_ensure_admissible_matches_parse_on_random_texts():
     outcomes = set()
     for text in random_texts():
         try:
             f = parse(text, AB)
         except FormulaError:
             continue
-        _assert_text_check_matches_walk(f)
+        _assert_text_check_matches_parse(f)
         outcomes.update(_admissibility(solver.ensure_admissible, f, m) for m in MODES)
-    assert {None, (EmptyNotAllowed, "EmptyNotAllowed: empty group in semigroup mode")} < outcomes
-    assert (OpNotInSignature, "OpNotInSignature: '*' is not in the signature of this mode") in outcomes
+    assert None in outcomes
+    assert (EmptyNotAllowed, "EmptyNotAllowed at offset 0: empty formula in semigroup mode") in outcomes
+    assert (EmptyNotAllowed, "EmptyNotAllowed at offset 0: empty group in semigroup mode") in outcomes
+    assert (OpNotInSignature, "OpNotInSignature at offset 2: '*' is not in the signature of this mode") in outcomes
 
 
-def test_ensure_admissible_matches_walk_on_random_formulas():
+def test_ensure_admissible_matches_parse_on_random_formulas():
     rng = Random(4141)
     for _ in range(1500):
         f = random_formula(rng, AB, max_len=30, mode=Mode(semigroup=rng.random() < 0.5))
-        _assert_text_check_matches_walk(f)
-        _assert_text_check_matches_walk(concat(f, parse(rng.choice(("()+", "()*", "")), AB)))
+        _assert_text_check_matches_parse(f)
+        _assert_text_check_matches_parse(concat(f, parse(rng.choice(("()+", "()*", "")), AB)))
+
+
+def test_solver_entry_points_raise_the_parsers_error_on_random_texts():
+    # Every public entry point that checks a mode raises what parse raises
+    # for the rendered text in that mode, or succeeds where parse does.
+    entry_points = (
+        solver.ensure_admissible,
+        lambda f, mode: equal(f, f, mode),
+        normal_form,
+        is_idempotent,
+        lambda f, mode: check_identity(f, f, mode),
+    )
+    raised = 0
+    for text in random_texts():
+        try:
+            f = parse(text, AB)
+        except FormulaError:
+            continue
+        for mode in MODES:
+            expected = _admissibility(_parse_rendered, f, mode)
+            raised += expected is not None
+            for check in entry_points:
+                assert _admissibility(check, f, mode) == expected, (render(f), mode, check)
+    assert raised
