@@ -117,46 +117,19 @@ class Unary(Frozen):
 Factor = Union[Letter, Unary]
 
 
-class _DataclassMetadata:
-    """``Formula.__dataclass_fields__`` or ``__dataclass_params__``, on demand.
-
-    ``dataclasses.fields``, ``replace`` and ``is_dataclass`` read these.  The
-    first read runs ``dataclass(frozen=True, eq=False)`` over a twin class
-    with only the owner's annotated fields and caches both of the twin's
-    attributes on the owner, so importing this module loads no
-    ``dataclasses``.
-    """
-
-    def __set_name__(self, owner: type, name: str) -> None:
-        self.name = name
-
-    def __get__(self, instance, owner: type):
-        from dataclasses import dataclass
-
-        namespace = {
-            "__annotations__": dict(owner.__annotations__),
-            "__module__": owner.__module__,
-            "__qualname__": owner.__qualname__,
-        }
-        twin = dataclass(frozen=True, eq=False)(type(owner.__name__, (), namespace))
-        for name in ("__dataclass_fields__", "__dataclass_params__"):
-            setattr(owner, name, getattr(twin, name))
-        return getattr(owner, self.name)
-
-
 class Formula(Frozen):
     """Equal to another formula when both have the same alphabet and text.
 
     A parsed formula holds only its whitespace-free text and one built from
     ``factors`` only those; each derives the other once, on first read.
-    Formulas are the one public class that ``dataclasses`` still accepts.
+    Factors with a letter outside the alphabet have no text: reading it
+    raises ``UnknownSymbol``.  Rebuild a formula with other factors as
+    ``Formula(factors, f.alphabet)``.
     """
 
     __match_args__ = ("factors", "alphabet")
     factors: tuple[Factor, ...]
     alphabet: Alphabet
-    __dataclass_fields__ = _DataclassMetadata()
-    __dataclass_params__ = _DataclassMetadata()
 
     def __init__(self, factors, alphabet):
         self.__dict__.update(factors=factors, alphabet=alphabet)
@@ -166,7 +139,7 @@ class Formula(Frozen):
         if name == "factors" and "_text" in state:
             value = _build_factors(state["_text"], self.alphabet)
         elif name == "_text" and "factors" in state:
-            value = _render_factors(state["factors"])
+            value = _render_factors(state["factors"], self.alphabet)
         else:
             raise AttributeError(name)
         state[name] = value
@@ -305,7 +278,10 @@ def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
     return tuple(top)
 
 
-def _render_factors(factors: tuple[Factor, ...]) -> str:
+def _render_factors(factors: tuple[Factor, ...], alphabet: Alphabet) -> str:
+    # Nested bodies are read as factors, so every letter is tested against
+    # the outermost formula's alphabet.
+    known = alphabet._index
     out: list[str] = []
     stack: list[Factor | str] = list(reversed(factors))
     while stack:
@@ -316,11 +292,10 @@ def _render_factors(factors: tuple[Factor, ...]) -> str:
             out.append("(")
             stack.append(")" + item.op.value)
             stack.extend(reversed(item.body.factors))
-        elif len(item.letter) != 1 or item.letter in RESERVED:
-            # No alphabet holds it, so no text could stand for it.
-            raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
-        else:
+        elif item.letter in known:
             out.append(item.letter)
+        else:
+            raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
     return "".join(out)
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .canonical import canonical_formula
-from .homomorphism import _check_alphabets, exists_morphism
+from .homomorphism import _check_alphabets
 from .pruning import _induced_subtree
-from .tree import SigmaTree, evaluate
+from .tree import SigmaTree
 
 
 def exists_morphism_bruteforce(t1: SigmaTree, t2: SigmaTree) -> bool:
@@ -102,17 +101,3 @@ def minimal_retract_bruteforce(tree: SigmaTree) -> SigmaTree:
         if len(image) == n:
             return current
         current = _induced_subtree(current, image)
-
-
-def evaluate_roundtrip_check(tree: SigmaTree) -> bool:
-    """True iff the canonical formula evaluates back to the same tree.
-
-    Sameness is established without invoking the canonical word again: equal
-    vertex counts plus morphisms both ways.
-    """
-    again = evaluate(canonical_formula(tree))
-    return (
-        again.vertex_count == tree.vertex_count
-        and exists_morphism(again, tree)
-        and exists_morphism(tree, again)
-    )

@@ -15,12 +15,17 @@ both sides where an operand does not fit the mode; the slope: within
 value classes, which the library replaced with plain classes that import
 no ``dataclasses``.  The propagation pass now also runs a forward pass, so
 its masks are the reference pass's ANDed with ``forward_reach``.
+
+The polynomial judge (``morphism_exists_by_programme`` and ``is_core``)
+decides morphisms and cores on trees of any size from the trees' fields
+alone, so it judges inputs too large for the brute-force oracles without
+sharing code with the pipeline.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, fields
 from random import Random
 from typing import Iterator, Optional
@@ -47,6 +52,7 @@ from adequate import (
     VertexMorphism,
     base_tree,
     candidate_sets,
+    canonical_formula,
     ensure_admissible,
     equal,
     evaluate,
@@ -126,6 +132,82 @@ def descendants_by_paths(tree: SigmaTree, u: int) -> frozenset:
                 break
             w = parent[w]
     return frozenset(out)
+
+
+def morphism_exists_by_programme(t1: SigmaTree, t2: SigmaTree) -> bool:
+    """Judge: is there a morphism from ``t1`` to ``t2`` (one alphabet)?
+
+    A bottom-up dynamic programme over the source, rooted at its start in a
+    breadth-first order of its own.  Children first, each source vertex
+    keeps the set of target vertices that can host its subtree: those with,
+    for every child edge, a like-labelled neighbour in the child's set.  The
+    source's end keeps at most the target's end.  A morphism exists iff the
+    target's start hosts the root; exact for tree sources.  It reads only
+    the trees' fields: no traversal, preimage index, bitmask or memo.
+    """
+    neighbours = defaultdict(list)
+    for label, s, t in t1.edges:
+        neighbours[s].append((label, False, t))
+        neighbours[t].append((label, True, s))
+    # (label, reverse, y): every x with an edge so labelled from x to y.
+    sources = defaultdict(list)
+    for label, s, t in t2.edges:
+        sources[label, False, t].append(s)
+        sources[label, True, s].append(t)
+    order = [t1.start]
+    seen = {t1.start}
+    for v in order:
+        for _, _, w in neighbours[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    hosts: dict[int, set[int]] = {}
+    for v in reversed(order):
+        can = {t2.end} if v == t1.end else set(range(t2.vertex_count))
+        for label, reverse, w in neighbours[v]:
+            if w in hosts:  # a child; the parent comes later
+                can &= {x for y in hosts[w] for x in sources[label, reverse, y]}
+        hosts[v] = can
+    return t2.start in hosts[t1.start]
+
+
+def without_leaf(tree: SigmaTree, leaf: int) -> SigmaTree:
+    """The tree less one leaf that is not a basepoint, renumbered in order."""
+    def new(v: int) -> int:
+        return v - (v > leaf)
+
+    edges = tuple((label, new(s), new(t)) for label, s, t in tree.edges if leaf not in (s, t))
+    return SigmaTree(tree.alphabet, tree.vertex_count - 1, new(tree.start), new(tree.end), edges)
+
+
+def free_leaves(tree: SigmaTree) -> list[int]:
+    """The leaves of the tree that are not basepoints, in increasing order."""
+    degree = Counter(v for _, s, t in tree.edges for v in (s, t))
+    return sorted(v for v, d in degree.items() if d == 1 and v not in (tree.start, tree.end))
+
+
+def is_core(tree: SigmaTree) -> bool:
+    """Judge: True iff the tree has no proper retract.
+
+    A proper retract keeps both basepoints and, as a proper subtree, misses
+    a leaf that is not a basepoint; so a tree has one exactly when it maps
+    into itself less some such leaf.
+    """
+    return not any(morphism_exists_by_programme(tree, without_leaf(tree, v)) for v in free_leaves(tree))
+
+
+def evaluate_roundtrip_check(tree: SigmaTree) -> bool:
+    """True iff the canonical formula evaluates back to the same tree.
+
+    Sameness is judged without the library's morphism test: equal vertex
+    counts plus morphisms both ways, by the judge.
+    """
+    again = evaluate(canonical_formula(tree))
+    return (
+        again.vertex_count == tree.vertex_count
+        and morphism_exists_by_programme(again, tree)
+        and morphism_exists_by_programme(tree, again)
+    )
 
 
 def identity_alphabet_by_loop(*texts: str) -> Alphabet:
@@ -682,7 +764,7 @@ class DataclassFormula:
     def __getattr__(self, name: str):
         if name != "_text":
             raise AttributeError(name)
-        text = self.__dict__["_text"] = _render_factors(self.factors)
+        text = self.__dict__["_text"] = _render_factors(self.factors, self.alphabet)
         return text
 
     def __eq__(self, other):

@@ -32,13 +32,9 @@ from adequate.generate import (
     random_relabelling,
     random_tree,
 )
-from adequate.oracles import (
-    evaluate_roundtrip_check,
-    exists_morphism_bruteforce,
-    minimal_retract_bruteforce,
-)
+from adequate.oracles import exists_morphism_bruteforce, minimal_retract_bruteforce
 from adequate.solver import KNOWN_IDENTITIES, KNOWN_NON_IDENTITIES, _identity_alphabet
-from oracles import oracle_equal_texts
+from oracles import evaluate_roundtrip_check, oracle_equal_texts
 
 AB = Alphabet.from_string("ab")
 _EXHAUSTIVE: list = []

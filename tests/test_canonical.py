@@ -16,8 +16,7 @@ from adequate import (
     render,
 )
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
-from adequate.oracles import evaluate_roundtrip_check
-from oracles import canonical_word_by_bfs, structural_key
+from oracles import canonical_word_by_bfs, evaluate_roundtrip_check, structural_key
 from strategies import trees
 
 

@@ -45,7 +45,10 @@ from oracles import (
     edge_pairs,
     extract_morphism_by_scan,
     forward_reach,
+    free_leaves,
+    morphism_exists_by_programme,
     propagate_unmemoised,
+    without_leaf,
 )
 from strategies import trees
 
@@ -113,6 +116,36 @@ def test_exhaustive_agreement_small(small_tree_corpus):
     for t1 in two_edge:
         for t2 in two_edge:
             assert exists_morphism(t1, t2) == exists_morphism_bruteforce(t1, t2)
+
+
+def test_judge_matches_bruteforce_on_small_pairs(small_tree_corpus):
+    two_edge = [t for t in small_tree_corpus if len(t.edges) <= 2]
+    for t1 in two_edge:
+        for t2 in two_edge:
+            assert morphism_exists_by_programme(t1, t2) == exists_morphism_bruteforce(t1, t2)
+
+
+def test_judge_matches_exists_morphism_on_random_pairs(ab):
+    # Unrelated pairs are mostly rejected; a tree's pruned form and the tree
+    # less a leaf map into it, and it maps onto its pruned form.
+    rng = Random(2107)
+    a = Alphabet.from_string("a")
+    answers = []
+    for _ in range(200):
+        alphabet = rng.choice((a, ab))
+        t = random_tree(rng, rng.randint(5, 40), alphabet)
+        u = random_tree(rng, rng.randint(5, 40), alphabet)
+        r, leaves = prune(t).tree, free_leaves(t)
+        pairs = [(t, u), (u, t), (t, r), (r, t)]
+        if leaves:
+            d = without_leaf(t, rng.choice(leaves))
+            pairs += [(t, d), (d, t)]
+        for x, y in pairs:
+            answer = morphism_exists_by_programme(x, y)
+            assert answer == exists_morphism(x, y), (x, y)
+            answers.append(answer)
+    assert len(answers) >= 1000
+    assert min(answers.count(True), answers.count(False)) >= 300
 
 
 @given(trees(max_edges=7), trees(max_edges=7))

@@ -26,7 +26,7 @@ from adequate import (
 from adequate import pruning
 from adequate.generate import random_relabelling, random_tree
 from adequate.oracles import minimal_retract_bruteforce
-from oracles import propagate_unmemoised, pruned_vertex_set_by_adjacency
+from oracles import is_core, morphism_exists_by_programme, propagate_unmemoised, pruned_vertex_set_by_adjacency
 from strategies import trees
 
 
@@ -130,6 +130,26 @@ def test_oracle_equivalence_small(small_tree_corpus):
 @settings(max_examples=50)
 def test_oracle_equivalence_random(t):
     assert canonical_word(prune(t).tree) == canonical_word(minimal_retract_bruteforce(t))
+
+
+def test_core_judge_matches_bruteforce_on_small_trees(small_tree_corpus):
+    for t in (t for t in small_tree_corpus if len(t.edges) <= 2):
+        assert is_core(t) == (minimal_retract_bruteforce(t).vertex_count == t.vertex_count)
+
+
+def test_prune_gives_a_core_by_the_judge(ab):
+    # R = prune(T).tree maps to T and T to R, and R has no proper retract;
+    # T itself is a core exactly when pruning keeps all of it.
+    rng = Random(2108)
+    shrunk = 0
+    for _ in range(200):
+        t = random_tree(rng, rng.randint(10, 60), ab)
+        r = prune(t).tree
+        assert morphism_exists_by_programme(r, t) and morphism_exists_by_programme(t, r)
+        assert is_core(r)
+        assert is_core(t) == (r.vertex_count == t.vertex_count)
+        shrunk += r.vertex_count < t.vertex_count
+    assert shrunk >= 50
 
 
 def _nf(tree):

@@ -10,12 +10,16 @@ from adequate import (
     UnaryOp,
     AlphabetMismatch,
     EmptyNotAllowed,
+    Formula,
     FormulaError,
     KNOWN_IDENTITIES,
     KNOWN_NON_IDENTITIES,
+    Letter,
     Mode,
     OpNotInSignature,
     Sidedness,
+    Unary,
+    UnknownSymbol,
     check_identity,
     concat,
     equal,
@@ -42,8 +46,6 @@ TWO_SIDED = Mode()
 
 
 def _wrap(f, op):
-    from adequate import Formula, Unary
-
     return Formula((Unary(op, f),), f.alphabet)
 
 
@@ -382,3 +384,29 @@ def test_solver_entry_points_raise_the_parsers_error_on_random_texts():
             for check in entry_points:
                 assert _admissibility(check, f, mode) == expected, (render(f), mode, check)
     assert raised
+
+
+def test_letter_outside_the_alphabet_raises_at_every_entry_point():
+    # A formula built from factors can name a letter its alphabet lacks.
+    # Its text cannot be read, so render and every entry point raise one
+    # error, and == and hash (which read the text) raise it too.
+    f = Formula((Letter("c"),), AB)
+    nested = Formula((Letter("a"), Unary(UnaryOp.PLUS, Formula((Letter("c"),), Alphabet.from_string("abc")))), AB)
+    a = parse("a", AB)
+    for bad in (f, nested):
+        for call in (
+            lambda: render(bad),
+            lambda: solver.ensure_admissible(bad, TWO_SIDED),
+            lambda: equal(bad, bad),
+            lambda: equal(a, bad),
+            lambda: normal_form(bad),
+            lambda: is_idempotent(bad),
+            lambda: check_identity(bad, bad),
+            lambda: check_identity(a, bad, LEFT),
+            lambda: bad == a,
+            lambda: hash(bad),
+        ):
+            with pytest.raises(UnknownSymbol) as info:
+                call()
+            assert str(info.value) == "UnknownSymbol: 'c' is not a generator"
+        assert bad != parse("c", Alphabet.from_string("c"))

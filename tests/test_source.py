@@ -50,6 +50,39 @@ def test_only_the_parser_raises_the_mode_errors():
     assert raised == set()
 
 
+def test_every_module_level_definition_is_used_or_exported():
+    # src/ keeps only what a command or the documented API needs: every
+    # module-level function or class is referenced by other code in src/
+    # (not only by its own body), or listed in ``__all__`` or ``_LAZY``.
+    # Module hooks such as ``__getattr__`` are called by name by Python.
+    definitions = []
+    users: dict[str, set] = {}
+    listed: set[str] = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        module = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for i, stmt in enumerate(module.body):
+            where = (path.name, i)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                definitions.append((where, stmt.name))
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id in ("__all__", "_LAZY") for target in stmt.targets
+            ):
+                listed |= set(ast.literal_eval(stmt.value))  # the list's items, the dict's keys
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    users.setdefault(node.id, set()).add(where)
+                elif isinstance(node, ast.Attribute):
+                    users.setdefault(node.attr, set()).add(where)
+    unused = [
+        f"{where[0]}:{name}"
+        for where, name in definitions
+        if not (name.startswith("__") and name.endswith("__"))
+        and name not in listed
+        and not users.get(name, set()) - {where}
+    ]
+    assert unused == []
+
+
 def _raised_name(exc: ast.expr | None) -> str | None:
     # The class name in ``raise Name``, ``raise Name(...)`` or ``raise mod.Name(...)``.
     if isinstance(exc, ast.Call):
