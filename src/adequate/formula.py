@@ -4,7 +4,7 @@ A formula is a word over the generators plus the four symbols ``( ) + *``:
 a (possibly empty) sequence of factors, each factor either a bare generator
 or a parenthesised group followed by a postfix ``+`` or ``*``.  Bare groups
 without a trailing operator are rejected so that every abstract formula has
-exactly one rendering.  A parsed formula is kept as that rendering, its
+exactly one rendering.  Every formula is kept as that rendering, its
 whitespace-free text, and the syntax nodes are built only when read.
 """
 
@@ -120,30 +120,24 @@ Factor = Union[Letter, Unary]
 class Formula(Frozen):
     """Equal to another formula when both have the same alphabet and text.
 
-    A parsed formula holds only its whitespace-free text and one built from
-    ``factors`` only those; each derives the other once, on first read.
-    Factors with a letter outside the alphabet have no text: reading it
-    raises ``UnknownSymbol``.  Rebuild a formula with other factors as
+    A formula holds only its whitespace-free text, and builds ``factors``
+    from it on first read.  ``Formula(factors, alphabet)`` renders the
+    factors: a letter outside the alphabet raises ``UnknownSymbol``, and a
+    factor that is neither a ``Letter`` nor a ``Unary`` raises
+    ``TypeError``.  Rebuild a formula with other factors as
     ``Formula(factors, f.alphabet)``.
     """
 
     __match_args__ = ("factors", "alphabet")
-    factors: tuple[Factor, ...]
+    _text: str
     alphabet: Alphabet
 
     def __init__(self, factors, alphabet):
-        self.__dict__.update(factors=factors, alphabet=alphabet)
+        self.__dict__.update(_text=_render_factors(factors, alphabet), alphabet=alphabet)
 
-    def __getattr__(self, name: str):
-        state = self.__dict__
-        if name == "factors" and "_text" in state:
-            value = _build_factors(state["_text"], self.alphabet)
-        elif name == "_text" and "factors" in state:
-            value = _render_factors(state["factors"], self.alphabet)
-        else:
-            raise AttributeError(name)
-        state[name] = value
-        return value
+    @cached_property
+    def factors(self) -> tuple[Factor, ...]:
+        return _build_factors(self._text, self.alphabet)
 
     def __eq__(self, other):
         if type(other) is not Formula:
@@ -261,41 +255,43 @@ def _from_text(text: str, alphabet: Alphabet) -> Formula:
 
 
 def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
-    # The syntax nodes of whitespace-free text that parse accepted.
-    top: list[Factor] = []
-    outer: list[list[Factor]] = []
-    chars = iter(text)
-    for ch in chars:
+    # The top-level syntax nodes of formula text.  Each group's body is the
+    # formula of its slice of the text, so no body is rendered again.
+    factors: list[Factor] = []
+    depth = 0
+    for i, ch in enumerate(text):
         if ch == "(":
-            outer.append(top)
-            top = []
+            if not depth:
+                start = i + 1
+            depth += 1
         elif ch == ")":
-            body = Formula(tuple(top), alphabet)
-            top = outer.pop()
-            top.append(Unary(UnaryOp(next(chars)), body))
-        else:
-            top.append(Letter(ch))
-    return tuple(top)
+            depth -= 1
+            if not depth:
+                factors.append(Unary(UnaryOp(text[i + 1]), _from_text(text[start:i], alphabet)))
+        elif not depth and ch not in "+*":
+            factors.append(Letter(ch))
+    return tuple(factors)
 
 
 def _render_factors(factors: tuple[Factor, ...], alphabet: Alphabet) -> str:
-    # Nested bodies are read as factors, so every letter is tested against
-    # the outermost formula's alphabet.
+    # A body's text was checked when the body was built.  It is checked again
+    # only where its alphabet is another, so the outermost alphabet decides.
     known = alphabet._index
     out: list[str] = []
-    stack: list[Factor | str] = list(reversed(factors))
-    while stack:
-        item = stack.pop()
-        if type(item) is str:
-            out.append(item)
-        elif type(item) is Unary:
-            out.append("(")
-            stack.append(")" + item.op.value)
-            stack.extend(reversed(item.body.factors))
-        elif item.letter in known:
+    for item in factors:
+        if type(item) is Letter:
+            if item.letter not in known:
+                raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
             out.append(item.letter)
+        elif type(item) is Unary:
+            body = item.body
+            if body.alphabet != alphabet:
+                for ch in _first_occurrences(body._text):
+                    if ch not in known:
+                        raise UnknownSymbol(detail=f"{ch!r} is not a generator")
+            out.append("(" + body._text + ")" + item.op.value)
         else:
-            raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
+            raise TypeError(f"a formula factor is a Letter or a Unary, not {item!r}")
     return "".join(out)
 
 

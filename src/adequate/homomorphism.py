@@ -189,6 +189,7 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
 
 def is_morphism(t1: SigmaTree, t2: SigmaTree, mapping: tuple[int, ...]) -> bool:
     """Check the morphism conditions for an explicit vertex map."""
+    _check_alphabets(t1, t2)
     m = t2.vertex_count
     if len(mapping) != t1.vertex_count:
         return False

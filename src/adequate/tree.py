@@ -202,9 +202,7 @@ def evaluate(formula: Formula) -> SigmaTree:
     were not glued, which is the numbering that folding
     :func:`unpruned_product`, :func:`unpruned_plus` and :func:`unpruned_star`
     over the syntax tree gives.  The result has exactly one edge per
-    generator occurrence; runs in linear time in the formula length.  Letters
-    are checked against the alphabet by dict membership; an unknown one
-    raises ``UnknownSymbol``.
+    generator occurrence; runs in linear time in the formula length.
     """
     alphabet = formula.alphabet
     known = alphabet._index
@@ -231,8 +229,6 @@ def evaluate(formula: Formula) -> SigmaTree:
             outer = groups.pop()[0]
             glue[cursor] = outer
             cursor = outer
-        elif ch != ")":
-            alphabet.index(ch)  # raises UnknownSymbol
     # A glue target is always created before the vertex glued onto it, so
     # one forward pass settles chains of glues.
     ids = [0] * len(glue)

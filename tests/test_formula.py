@@ -23,6 +23,7 @@ from adequate import (
     UnaryOp,
     UnbalancedParenthesis,
     UnknownSymbol,
+    canonical_formula,
     canonical_word,
     concat,
     evaluate,
@@ -31,7 +32,7 @@ from adequate import (
     parse,
     render,
 )
-from adequate.generate import enumerate_trees
+from adequate.generate import enumerate_trees, random_formula, random_tree
 from oracles import parse_by_index
 from strategies import AB, MODES, formulas, large_words, random_texts
 
@@ -311,14 +312,37 @@ def test_formulas_compare_by_alphabet_and_text(ab):
 
 def test_letters_no_text_can_hold_are_rejected(ab):
     # No text over ``ab`` holds "z" either, even in a body over an alphabet
-    # that has it.
+    # that has it: the outermost alphabet decides, when the formula is built.
     abz = Alphabet.from_string("abz")
     for bad in ("ab", "", "(", ")", "+", "*", "z"):
         for body_alphabet in (ab, abz):
-            f = Formula((Letter("a"), Unary(UnaryOp.STAR, Formula((Letter(bad),), body_alphabet))), ab)
             with pytest.raises(UnknownSymbol) as info:
-                render(f)
+                Formula((Letter("a"), Unary(UnaryOp.STAR, Formula((Letter(bad),), body_alphabet))), ab)
             assert str(info.value) == f"UnknownSymbol: {bad!r} is not a generator"
+
+
+def test_factors_that_are_not_nodes_are_rejected(ab):
+    for factors in (("zz",), (Letter("a"), ")+"), (Letter("a"), 1)):
+        with pytest.raises(TypeError):
+            Formula(factors, ab)
+
+
+def test_every_constructor_gives_a_formula_that_holds_its_text():
+    abc = Alphabet.from_string("abc")
+    rng = Random(2323)
+    built = [parse(text, AB) for text in _pinned_texts()]
+    for _ in range(200):
+        alphabet = rng.choice((AB, abc))
+        built.append(random_formula(rng, alphabet, mode=rng.choice(MODES)))
+        built.append(canonical_formula(random_tree(rng, rng.randrange(30), alphabet)))
+    built += [concat(f, g) for f, g in zip(built, built[1:]) if f.alphabet == g.alphabet]
+    built += [Formula(f.factors, f.alphabet) for f in built[:100]]
+    while built:
+        f = built.pop()
+        assert set(render(f)) <= set(f.alphabet.letters) | set("()+*")
+        assert vars(f).keys() <= {"_text", "alphabet", "factors"}
+        assert Formula(f.factors, f.alphabet) == f
+        built += [item.body for item in f.factors if type(item) is Unary]
 
 
 def test_parsed_formulas_build_factors_once(ab):

@@ -99,6 +99,19 @@ def test_alphabet_mismatch(ab):
         exists_morphism_bruteforce(base_tree("a", ab), base_tree("a", other))
 
 
+def test_every_morphism_check_rejects_other_alphabets(ab):
+    # Under "ba" the same one-edge tree's label has another index, and "abc"
+    # holds "ab": neither alphabet is "ab", so no check compares the trees.
+    for other in (Alphabet.from_string("ba"), Alphabet.from_string("abc")):
+        x, y = base_tree("a", ab), base_tree("a", other)
+        for t1, t2 in ((x, y), (y, x)):
+            for check in (exists_morphism, extract_morphism, candidate_sets):
+                with pytest.raises(AlphabetMismatch):
+                    check(t1, t2)
+            with pytest.raises(AlphabetMismatch):
+                is_morphism(t1, t2, (0, 1))
+
+
 def test_label_outside_the_alphabet_raises_unknown_symbol(ab):
     # Unvalidated trees: the target's preimage table, the oracle's target
     # edge groups and the source's traversal all reject the label by the
