@@ -30,12 +30,16 @@ from .errors import (
     UnknownSymbol,
 )
 from .formula import (
+    DEFAULT_MODE,
     Alphabet,
     Formula,
     Letter,
+    Mode,
+    Sidedness,
     Unary,
     UnaryOp,
     concat,
+    ensure_admissible,
     occurrence_count,
     occurring_letters,
     parse,
@@ -59,13 +63,9 @@ from .pruning import (
     pruned_vertex_set,
 )
 from .solver import (
-    DEFAULT_MODE,
     KNOWN_IDENTITIES,
     KNOWN_NON_IDENTITIES,
-    Mode,
-    Sidedness,
     check_identity,
-    ensure_admissible,
     equal,
     is_idempotent,
     normal_form,

@@ -12,7 +12,7 @@ import time
 from random import Random
 
 from .canonical import canonical_formula, canonical_word
-from .formula import Alphabet, parse
+from .formula import Alphabet, Mode, parse
 from .generate import enumerate_trees, random_tree
 from .homomorphism import exists_morphism
 from .oracles import exists_morphism_bruteforce, minimal_retract_bruteforce
@@ -20,7 +20,6 @@ from .pruning import prune
 from .solver import (
     KNOWN_IDENTITIES,
     KNOWN_NON_IDENTITIES,
-    Mode,
     _identity_alphabet,
     check_identity,
     equal,

@@ -12,12 +12,12 @@ from __future__ import annotations
 import sys
 
 from .errors import Error
-from .formula import Alphabet, parse, render
+from .formula import Alphabet, Mode, Sidedness, parse, render
 # ``exists_morphism`` has no caller here; ``benchmark/spans.py`` traces it by
 # this name, as it does the other library functions imported here.
 from .homomorphism import exists_morphism, extract_morphism
 from .pruning import prune
-from .solver import Mode, Sidedness, _identity_alphabet, check_identity, equal, normal_form
+from .solver import _identity_alphabet, check_identity, equal, normal_form
 from .tree import SigmaTree, evaluate, from_json, to_dot, to_json
 
 _SIDEDNESS = {

@@ -6,6 +6,10 @@ or a parenthesised group followed by a postfix ``+`` or ``*``.  Bare groups
 without a trailing operator are rejected so that every abstract formula has
 exactly one rendering.  Every formula is kept as that rendering, its
 whitespace-free text, and the syntax nodes are built only when read.
+
+A :class:`Mode` names one of the six varieties, and with it which formulas
+that variety admits: :func:`parse` checks text against a mode, and
+:func:`ensure_admissible` checks a built formula.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING, Union
+from typing import Union
 
 from ._record import Frozen
 from .errors import (
@@ -25,9 +29,6 @@ from .errors import (
     UnbalancedParenthesis,
     UnknownSymbol,
 )
-
-if TYPE_CHECKING:
-    from .solver import Mode
 
 RESERVED = "()+*"
 
@@ -111,6 +112,8 @@ class Unary(Frozen):
     body: "Formula"
 
     def __init__(self, op, body):
+        if type(op) is not UnaryOp or type(body) is not Formula:
+            raise TypeError(f"a Unary takes a UnaryOp and a Formula, not {op!r} and {body!r}")
         self.__dict__.update(op=op, body=body)
 
 
@@ -148,12 +151,57 @@ class Formula(Frozen):
         return hash((self.alphabet, self._text))
 
 
-def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
+class Sidedness(Enum):
+    LEFT = "left"
+    RIGHT = "right"
+    TWO_SIDED = "two-sided"
+
+
+class Mode(Frozen):
+    """Variety selector: sidedness and semigroup-versus-monoid.
+
+    The one-sided varieties admit a single unary operation: star on the left
+    side and plus on the right.  ``swap_sided_ops`` makes left admit exactly
+    what right admits, and the reverse; sidedness reaches the code only
+    through :meth:`allowed_ops`, so two-sided modes ignore it.  Semigroup
+    modes forbid the empty formula, whose value would be the identity element.
+    Fields of any other type raise ``TypeError``.
+    """
+
+    __match_args__ = ("sidedness", "semigroup", "swap_sided_ops")
+    sidedness: Sidedness
+    semigroup: bool
+    swap_sided_ops: bool
+
+    def __init__(self, sidedness=Sidedness.TWO_SIDED, semigroup=False, swap_sided_ops=False):
+        fields = (sidedness, semigroup, swap_sided_ops)
+        if tuple(map(type, fields)) != (Sidedness, bool, bool):
+            raise TypeError(f"a Mode takes a Sidedness and two bools, not {fields!r}")
+        self.__dict__.update(sidedness=sidedness, semigroup=semigroup, swap_sided_ops=swap_sided_ops)
+
+    def allowed_ops(self) -> frozenset[UnaryOp]:
+        if self.sidedness is Sidedness.TWO_SIDED:
+            return frozenset((UnaryOp.PLUS, UnaryOp.STAR))
+        star_side = Sidedness.RIGHT if self.swap_sided_ops else Sidedness.LEFT
+        return frozenset((UnaryOp.STAR if self.sidedness is star_side else UnaryOp.PLUS,))
+
+    @cached_property
+    def _op_chars(self) -> str:
+        # The admitted operator characters, so that a ")" tests a character
+        # and hashes no UnaryOp.  Sorted, so no hash seed reaches the text.
+        return "".join(sorted(op.value for op in self.allowed_ops()))
+
+
+DEFAULT_MODE = Mode()
+
+
+def parse(text: str, alphabet: Alphabet, mode: Mode | None = None) -> Formula:
     """Check formula text; ``mode`` restricts the signature and emptiness.
 
     Grammar: ``Expr := Factor*``, ``Factor := letter | '(' Expr ')' ('+'|'*')``.
-    Whitespace between tokens is ignored.  With no mode, both unary symbols
-    are admitted and empty (sub)formulas are legal.
+    Whitespace between tokens is ignored.  With no mode, the mode is
+    :data:`DEFAULT_MODE`: both unary symbols are admitted and empty
+    (sub)formulas are legal.
 
     Builds no syntax nodes: the result keeps the whitespace-free text,
     which is its rendering, and builds ``factors`` only when they are read.
@@ -162,9 +210,10 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
     that walk a ``)`` waits for its operator; only whitespace may come in
     between.
     """
-    allowed, allow_empty = _mode_rules(mode)
+    if mode is None:
+        mode = DEFAULT_MODE
     stripped = "".join(text.split())
-    if _is_formula(stripped, alphabet) and _admits(stripped, allowed, allow_empty):
+    if _is_formula(stripped, alphabet) and _admits(stripped, mode):
         return _from_text(stripped, alphabet)
     known = alphabet._index
     depth = 0
@@ -191,9 +240,9 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
                 if ch.isspace():
                     continue
                 raise BareGroup(i)
-            if ch not in allowed:
+            if ch not in mode._op_chars:
                 raise OpNotInSignature(i, f"{ch!r} is not in the signature of this mode")
-            if not allow_empty:  # empty if the last non-space before ")" is "("
+            if mode.semigroup:  # empty if the last non-space before ")" is "("
                 j = closed - 1
                 while text[j].isspace():
                     j -= 1
@@ -204,7 +253,7 @@ def parse(text: str, alphabet: Alphabet, mode: "Mode | None" = None) -> Formula:
         raise BareGroup(len(text))
     if depth:
         raise UnbalancedParenthesis(len(text))
-    if not stripped and not allow_empty:
+    if not stripped and mode.semigroup:
         raise EmptyNotAllowed(0, "empty formula in semigroup mode")
     return _from_text(stripped, alphabet)
 
@@ -232,20 +281,21 @@ def _is_formula(text: str, alphabet: Alphabet) -> bool:
     )
 
 
-def _mode_rules(mode: "Mode | None") -> tuple[str, bool]:
-    # The admitted operator characters, so that a ")" tests a character and
-    # hashes no UnaryOp, and whether empty formulas and groups are admitted.
-    if mode is None:
-        return "+*", True
-    return "".join(op.value for op in mode.allowed_ops()), not mode.semigroup
-
-
-def _admits(text: str, allowed: str, allow_empty: bool) -> bool:
-    # Whether formula text fits a mode: no operator outside ``allowed``, and
-    # no empty formula or group unless ``allow_empty``.  Where it does not,
+def _admits(text: str, mode: Mode) -> bool:
+    # Whether formula text fits a mode: no operator the mode does not admit,
+    # and in a semigroup mode no empty formula or group.  Where it does not,
     # parse of the text raises its first fault.
+    allowed = mode._op_chars
     ops_ok = all(op in allowed or op not in text for op in "+*")
-    return ops_ok and (allow_empty or (text != "" and "()" not in text))
+    return ops_ok and not (mode.semigroup and (text == "" or "()" in text))
+
+
+def ensure_admissible(formula: Formula, mode: Mode) -> None:
+    """Raise what ``parse(render(formula), formula.alphabet, mode)`` raises,
+    if anything: the first fault in text order, with its offset."""
+    text = formula._text
+    if not _admits(text, mode):
+        parse(text, formula.alphabet, mode)
 
 
 def _from_text(text: str, alphabet: Alphabet) -> Formula:
@@ -281,14 +331,13 @@ def _render_factors(factors: tuple[Factor, ...], alphabet: Alphabet) -> str:
     for item in factors:
         if type(item) is Letter:
             if item.letter not in known:
-                raise UnknownSymbol(detail=f"{item.letter!r} is not a generator")
+                alphabet.index(item.letter)  # raises UnknownSymbol
             out.append(item.letter)
         elif type(item) is Unary:
             body = item.body
             if body.alphabet != alphabet:
                 for ch in _first_occurrences(body._text):
-                    if ch not in known:
-                        raise UnknownSymbol(detail=f"{ch!r} is not a generator")
+                    alphabet.index(ch)  # raises UnknownSymbol
             out.append("(" + body._text + ")" + item.op.value)
         else:
             raise TypeError(f"a formula factor is a Letter or a Unary, not {item!r}")

@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 
-from .formula import Alphabet, Formula, Letter, Unary, UnaryOp
+from .formula import DEFAULT_MODE, Alphabet, Formula, Letter, Unary
 from .tree import SigmaTree, trivial_tree, validate
 
 
@@ -85,8 +85,10 @@ def random_formula(
     Respects the mode's signature; in semigroup modes every group and the
     whole formula are kept non-empty.
     """
-    ops = sorted(mode.allowed_ops() if mode is not None else UnaryOp, key=lambda o: o.value)
-    semigroup = bool(mode is not None and mode.semigroup)
+    if mode is None:
+        mode = DEFAULT_MODE
+    ops = sorted(mode.allowed_ops(), key=lambda o: o.value)
+    semigroup = mode.semigroup
     letters = alphabet.letters
     budget = [max_len]
     unary_cost = 4 if semigroup else 3

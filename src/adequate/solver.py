@@ -6,61 +6,20 @@ checking over a variety reduces to the word problem in the free object on
 the occurring variables, so the same machinery answers both questions.
 Each raises, for a formula that does not fit its mode, the error that
 :func:`parse` raises for the formula's text in that mode, offset included.
+The modes and that check are the parser's: ``Mode``, ``Sidedness``,
+``DEFAULT_MODE`` and ``ensure_admissible`` are defined in
+:mod:`adequate.formula` and re-exported here.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-
-from ._record import Frozen
 from .canonical import canonical_formula
 from .errors import AlphabetMismatch
-from .formula import Alphabet, Formula, UnaryOp, _admits, _first_occurrences, _mode_rules, parse, render
+from .formula import DEFAULT_MODE, Mode, Sidedness, ensure_admissible  # re-exported
+from .formula import Alphabet, Formula, _first_occurrences, parse, render
 from .homomorphism import exists_morphism
 from .pruning import prune
 from .tree import evaluate
-
-
-class Sidedness(Enum):
-    LEFT = "left"
-    RIGHT = "right"
-    TWO_SIDED = "two-sided"
-
-
-class Mode(Frozen):
-    """Variety selector: sidedness and semigroup-versus-monoid.
-
-    The one-sided varieties admit a single unary operation: star on the left
-    side and plus on the right.  ``swap_sided_ops`` makes left admit exactly
-    what right admits, and the reverse; sidedness reaches the code only
-    through :meth:`allowed_ops`, so two-sided modes ignore it.  Semigroup
-    modes forbid the empty formula, whose value would be the identity element.
-    """
-
-    __match_args__ = ("sidedness", "semigroup", "swap_sided_ops")
-    sidedness: Sidedness
-    semigroup: bool
-    swap_sided_ops: bool
-
-    def __init__(self, sidedness=Sidedness.TWO_SIDED, semigroup=False, swap_sided_ops=False):
-        self.__dict__.update(sidedness=sidedness, semigroup=semigroup, swap_sided_ops=swap_sided_ops)
-
-    def allowed_ops(self) -> frozenset[UnaryOp]:
-        if self.sidedness is Sidedness.TWO_SIDED:
-            return frozenset((UnaryOp.PLUS, UnaryOp.STAR))
-        star_side = Sidedness.RIGHT if self.swap_sided_ops else Sidedness.LEFT
-        return frozenset((UnaryOp.STAR if self.sidedness is star_side else UnaryOp.PLUS,))
-
-
-DEFAULT_MODE = Mode()
-
-
-def ensure_admissible(formula: Formula, mode: Mode) -> None:
-    """Raise what ``parse(render(formula), formula.alphabet, mode)`` raises,
-    if anything: the first fault in text order, with its offset."""
-    text = formula._text
-    if not _admits(text, *_mode_rules(mode)):
-        parse(text, formula.alphabet, mode)
 
 
 def equal(f1: Formula, f2: Formula, mode: Mode = DEFAULT_MODE) -> bool:

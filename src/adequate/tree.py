@@ -272,31 +272,28 @@ def _compute_traversal(tree: SigmaTree) -> _Walk:
         entries.sort()
     start = tree.start
     position = [-1] * n
+    position[start] = -2
     order: list[int] = []
-    # Per vertex, set when it is pushed: the position of the vertex that
-    # pushed it and the signed label read from there.
-    via_up = [-1] * n
-    via_label = [-1] * n
-    # Explicit-stack preorder.  Neighbours are pushed in descending order so
-    # they pop in ascending order, and marked when pushed, so a cycle cannot
-    # loop.  Children therefore take positions by ascending signed label.
-    seen = bytearray(n)
-    seen[start] = 1
-    stack = [start]
+    up: list[int] = []
+    label: list[int] = []
+    # Explicit-stack preorder; an entry is a vertex, the position of the
+    # vertex that pushed it and the signed label read from there.
+    # Neighbours are pushed in descending order so they pop in ascending
+    # order, and marked (position -2) when pushed, so a cycle cannot loop.
+    # Children therefore take positions by ascending signed label.
+    stack = [(start, -1, -1)]
     while stack:
-        v = stack.pop()
+        v, u, s = stack.pop()
         p = len(order)
         position[v] = p
         order.append(v)
+        up.append(u)
+        label.append(s)
         for e in reversed(adj[v]):
             w = e % n
-            if not seen[w]:
-                seen[w] = 1
-                via_up[w] = p
-                via_label[w] = e // n
-                stack.append(w)
-    up = [via_up[v] for v in order]
-    label = [via_label[v] for v in order]
+            if position[w] == -1:
+                position[w] = -2
+                stack.append((w, p, e // n))
     # Subtree sizes, children before parents.
     size = [1] * len(order)
     for p in range(len(order) - 1, 0, -1):

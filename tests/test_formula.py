@@ -327,6 +327,36 @@ def test_factors_that_are_not_nodes_are_rejected(ab):
             Formula(factors, ab)
 
 
+def test_unary_nodes_take_an_operator_and_a_formula(ab):
+    a = parse("a", ab)
+    for op, body in (("+", a), (UnaryOp.PLUS, "a"), (UnaryOp.STAR, None), ("*", "a")):
+        with pytest.raises(TypeError):
+            Unary(op, body)
+    with pytest.raises(TypeError):
+        Formula((Unary("+", a),), ab)
+    with pytest.raises(TypeError):
+        Formula((Unary(UnaryOp.PLUS, "a"),), ab)
+    assert Formula((Unary(UnaryOp.PLUS, a),), ab) == parse("(a)+", ab)
+
+
+def test_modes_take_a_sidedness_and_two_bools():
+    # A string sidedness once built a mode that admitted only "+", the
+    # right-sided signature, whatever side the string named.
+    for args, kwargs in (
+        (("left",), {}),
+        ((None,), {}),
+        ((Sidedness.LEFT,), {"semigroup": "no"}),
+        ((Sidedness.LEFT, 1), {}),
+        ((), {"swap_sided_ops": 0}),
+        ((), {"semigroup": None}),
+    ):
+        with pytest.raises(TypeError):
+            Mode(*args, **kwargs)
+    assert len(set(MODES)) == 12
+    for mode in MODES:
+        assert Mode(mode.sidedness, mode.semigroup, mode.swap_sided_ops) == mode
+
+
 def test_every_constructor_gives_a_formula_that_holds_its_text():
     abc = Alphabet.from_string("abc")
     rng = Random(2323)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
 import adequate
-from adequate import generate, oracles
+from adequate import formula, generate, oracles, solver
 
 # Modules that no decision path needs: the generators, the oracles,
 # bench/selftest, the standard modules only they or the CLI's option
@@ -92,3 +93,40 @@ def test_deferred_names_resolve_to_their_modules():
     assert exists_morphism_bruteforce is oracles.exists_morphism_bruteforce
     assert random_tree is generate.random_tree
     assert not hasattr(adequate, "no_such_name")
+
+
+def test_the_mode_names_are_the_parsers_and_resolve_everywhere():
+    for name in ("DEFAULT_MODE", "Mode", "Sidedness", "ensure_admissible"):
+        assert getattr(adequate, name) is getattr(solver, name) is getattr(formula, name)
+        assert name in adequate.__all__
+    mode = formula.Mode(formula.Sidedness.LEFT, semigroup=True)
+    assert repr(mode) == "Mode(sidedness=<Sidedness.LEFT: 'left'>, semigroup=True, swap_sided_ops=False)"
+    assert repr(formula.Sidedness.RIGHT) == "<Sidedness.RIGHT: 'right'>"
+
+
+# ``pickle.dumps(..., protocol=4)`` of ``Mode(Sidedness.LEFT, semigroup=True)``
+# and of ``Sidedness.RIGHT`` when both were defined in ``adequate.solver``.
+_SOLVER_MODE_PICKLE = (
+    b"\x80\x04\x95j\x00\x00\x00\x00\x00\x00\x00\x8c\x0fadequate.solver\x94\x8c\x04Mode\x94\x93\x94)"
+    b"\x81\x94}\x94(\x8c\tsidedness\x94h\x00\x8c\tSidedness\x94\x93\x94\x8c\x04left\x94\x85\x94R"
+    b"\x94\x8c\tsemigroup\x94\x88\x8c\x0eswap_sided_ops\x94\x89ub."
+)
+_SOLVER_SIDEDNESS_PICKLE = (
+    b"\x80\x04\x95-\x00\x00\x00\x00\x00\x00\x00\x8c\x0fadequate.solver\x94\x8c\tSidedness\x94\x93"
+    b"\x94\x8c\x05right\x94\x85\x94R\x94."
+)
+
+
+def test_pickles_that_name_the_solver_still_load():
+    mode = pickle.loads(_SOLVER_MODE_PICKLE)
+    assert type(mode) is formula.Mode
+    assert mode == formula.Mode(formula.Sidedness.LEFT, semigroup=True)
+    assert hash(mode) == hash(formula.Mode(formula.Sidedness.LEFT, semigroup=True))
+    assert pickle.loads(_SOLVER_SIDEDNESS_PICKLE) is formula.Sidedness.RIGHT
+    # The loaded mode holds no derived state, and derives it on first use.
+    ab = formula.Alphabet.from_string("ab")
+    assert formula.parse("(a)*", ab, mode) == formula.parse("(a)*", ab)
+    with pytest.raises(adequate.OpNotInSignature):
+        formula.ensure_admissible(formula.parse("(a)+", ab), mode)
+    with pytest.raises(adequate.EmptyNotAllowed):
+        formula.parse("", ab, mode)

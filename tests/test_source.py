@@ -83,6 +83,43 @@ def test_every_module_level_definition_is_used_or_exported():
     assert unused == []
 
 
+# Private names that one module of src/ imports from another, as
+# (importing module, defining module, name).  A new entry is a new coupling
+# between modules, so it is added here on purpose or not at all.
+ALLOWED_PRIVATE_IMPORTS = {
+    ("bench", "solver", "_identity_alphabet"),
+    ("canonical", "formula", "_from_text"),
+    ("cli", "solver", "_identity_alphabet"),
+    ("oracles", "homomorphism", "_check_alphabets"),
+    ("oracles", "pruning", "_induced_subtree"),
+    ("pruning", "homomorphism", "_propagate"),
+    ("solver", "formula", "_first_occurrences"),
+}
+
+
+def test_private_imports_between_modules_are_the_listed_ones():
+    found = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
+    assert found == ALLOWED_PRIVATE_IMPORTS
+
+
+def test_no_module_imports_for_type_checking_only():
+    # An import under ``if TYPE_CHECKING:`` hides an import cycle; the
+    # names a module annotates with are defined in it or below it.
+    named = {
+        f"{path.name}:{node.lineno}"
+        for path in SOURCE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (isinstance(node, ast.Name) and node.id == "TYPE_CHECKING")
+        or (isinstance(node, ast.Attribute) and node.attr == "TYPE_CHECKING")
+        or (isinstance(node, ast.alias) and node.name == "TYPE_CHECKING")
+    }
+    assert named == set()
+
+
 def _raised_name(exc: ast.expr | None) -> str | None:
     # The class name in ``raise Name``, ``raise Name(...)`` or ``raise mod.Name(...)``.
     if isinstance(exc, ast.Call):
