@@ -72,7 +72,6 @@ from .solver import (
 )
 from .tree import (
     Edge,
-    SignedLabel,
     SigmaTree,
     TraversalOrder,
     Trunk,
@@ -136,7 +135,6 @@ __all__ = [
     "OpNotInSignature",
     "PrunedWitness",
     "Sidedness",
-    "SignedLabel",
     "SigmaTree",
     "TraversalOrder",
     "TreeError",

@@ -92,22 +92,25 @@ def _quiet_parser(**kwargs):
 def _parse_lean(argv):
     """The full parser's ``Namespace`` for argv, from one quiet parser.
 
-    Holding the global options alone, the parser finds the command word, so
-    a global option's value (``--alphabet eq``) is never taken for it; then
-    it gains that command's subparser, with a ``prog`` so that no usage line
-    is formatted, and reads all of argv.  Raises ``_Fallback``, having
-    printed nothing, wherever argparse would print: help, a missing or
-    unknown command, or any usage error.
+    The command is taken to be the first argument that names one.  The
+    parser holds the global options and that command's subparser alone,
+    with a ``prog`` so that no usage line is formatted, and reads argv once.
+    A wrong guess (``--alphabet eq nf e``, where ``eq`` is the alphabet)
+    leaves a command word the parser does not know, so it is a usage error.
+    Raises ``_Fallback``, having printed nothing, wherever argparse would
+    print: help, a missing or unknown command, or any usage error.
     """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = next((arg for arg in argv if arg in _COMMANDS), None)
+    if command is None:
+        raise _Fallback
     parser = _quiet_parser(prog="adequate")
     _add_global_options(parser)
-    rest = parser.parse_known_args(argv)[1]
-    if not rest or rest[0] not in _COMMANDS:
-        raise _Fallback
     subparsers = parser.add_subparsers(
         dest="command", required=True, prog="adequate", parser_class=_quiet_parser
     )
-    _add_command(subparsers, rest[0])
+    _add_command(subparsers, command)
     return parser.parse_args(argv)
 
 
@@ -235,12 +238,12 @@ def _cmd_selftest(args) -> int:
 # Each command: its handler, its help line and its arguments, as (name,
 # options) for ``add_argument``; ``build_parser`` adds every command and
 # ``_parse_lean`` only the one it runs.
-_DOT = ("--dot", {"metavar": "PATH"})
+_DOT = ("--dot", {"metavar": "PATH", "help": "also write a DOT rendering"})
 _COMMANDS = {
     "eval": (
         _cmd_eval,
         "evaluate a formula to its unpruned tree (JSON)",
-        (("formula", {}), ("--dot", {"metavar": "PATH", "help": "also write a DOT rendering"})),
+        (("formula", {}), _DOT),
     ),
     "prune": (
         _cmd_prune,

@@ -51,15 +51,16 @@ def check_identity(lhs: Formula, rhs: Formula, mode: Mode = DEFAULT_MODE) -> boo
     """Does lhs = rhs hold in every algebra of the mode's variety?
 
     Letters are read as identity variables; the check is the word problem in
-    the free object over the variables that actually occur.  Formulas that
-    are already over that alphabet (as the CLI grounds them) go to
-    :func:`equal` as they are, and raise its errors; others are parsed
-    again over it first.
+    the free object over the variables that actually occur.  A generator
+    that occurs in neither side adds no edge to either tree, so formulas
+    over one alphabet go to :func:`equal` as they are, and raise its
+    errors.  Formulas over two alphabets are parsed again over the letters
+    that occur in them.
     """
+    if lhs.alphabet == rhs.alphabet:
+        return equal(lhs, rhs, mode)
     lhs_text, rhs_text = render(lhs), render(rhs)
     alphabet = _identity_alphabet(lhs_text, rhs_text)
-    if lhs.alphabet.letters == alphabet.letters == rhs.alphabet.letters:
-        return equal(lhs, rhs, mode)
     return equal(parse(lhs_text, alphabet, mode), parse(rhs_text, alphabet, mode), mode)
 
 

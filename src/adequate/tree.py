@@ -5,12 +5,16 @@ a tree, with edges labelled by generators and two distinguished vertices
 (start and end) joined by a directed path, the trunk.  Vertex numbering is a
 representation artifact: two trees differing only by renumbering describe
 the same abstract value.
+
+Every algorithm reads one depth-first walk of a tree from its start, a
+:class:`TraversalOrder` of flat lists by position that the tree computes
+once and caches; :func:`traversal` returns an immutable copy of it.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Sequence
 
 from ._record import Frozen
 from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
@@ -25,56 +29,28 @@ class Edge(NamedTuple):
     target: int
 
 
-class SignedLabel(NamedTuple):
-    """A label read with a direction: ``reverse`` means against the arrow.
-
-    An edge "from u to v labelled (a, reverse)" is an actual a-labelled edge
-    from v to u.  The public :func:`traversal` view names labels this way;
-    internally a signed label is the integer ``2 * letter index + reverse``.
-    """
-
-    letter: str
-    reverse: bool
-
-
 class Trunk(NamedTuple):
     vertices: tuple[int, ...]
     labels: tuple[str, ...]
 
 
-class TraversalOrder(Frozen):
-    """Deterministic depth-first numbering of a tree, rooted at the start vertex.
+class TraversalOrder(NamedTuple):
+    """The deterministic depth-first walk of a tree, rooted at the start vertex.
 
-    The public view that :func:`traversal` builds.  ``order[p]`` is the
-    vertex at position ``p`` (``order[0]`` is the start), ``position`` is
-    its inverse.  ``parent`` maps each non-root vertex to its DFS parent and
-    the signed label read from the parent towards the child.  ``children``
-    lists, per position, the child positions with those labels.  ``span``
-    gives per vertex the half-open position range of its subtree, i.e. its
-    descendants.
+    ``order[p]`` is the vertex at position ``p`` (``order[0]`` is the start)
+    and ``position`` is its inverse.  ``up[p]`` is the parent's position and
+    ``label[p]`` the signed label ``2 * letter index + reverse`` of the edge
+    in, both -1 at the start.  The descendants of ``p`` are the positions
+    ``p`` to ``p + size[p] - 1``.  The children of ``p`` are ``q = p + 1``,
+    then ``q + size[q]``, and so on, by ascending signed label, then vertex
+    id.  The tree's cache holds lists; :func:`traversal` returns tuples.
     """
 
-    __match_args__ = ("order", "position", "parent", "children", "span")
-    order: tuple[int, ...]
-    position: tuple[int, ...]
-    parent: tuple[Optional[tuple[int, SignedLabel]], ...]
-    children: tuple[tuple[tuple[int, SignedLabel], ...], ...]
-    span: tuple[tuple[int, int], ...]
-
-    def __init__(self, order, position, parent, children, span):
-        self.__dict__.update(order=order, position=position, parent=parent, children=children, span=span)
-
-
-class _Walk(NamedTuple):
-    # order and position as in TraversalOrder; per position, the parent's
-    # position, the signed label in (both -1 at the root), the subtree size.
-    # The children of p are q = p + 1, then q + size[q], ... below
-    # p + size[p], in ascending order of signed label, then vertex id.
-    order: list[int]
-    position: list[int]
-    up: list[int]
-    label: list[int]
-    size: list[int]
+    order: Sequence[int]
+    position: Sequence[int]
+    up: Sequence[int]
+    label: Sequence[int]
+    size: Sequence[int]
 
 
 class SigmaTree(Frozen):
@@ -116,7 +92,7 @@ class SigmaTree(Frozen):
         return pre
 
     @cached_property
-    def _traversal(self) -> _Walk:
+    def _traversal(self) -> TraversalOrder:
         return _compute_traversal(self)
 
 
@@ -248,7 +224,7 @@ def evaluate(formula: Formula) -> SigmaTree:
     )
 
 
-def _compute_traversal(tree: SigmaTree) -> _Walk:
+def _compute_traversal(tree: SigmaTree) -> TraversalOrder:
     """The walk that :func:`traversal` describes, as flat lists by position.
 
     Always a whole new walk; ``SigmaTree._traversal`` calls it once per tree,
@@ -298,34 +274,19 @@ def _compute_traversal(tree: SigmaTree) -> _Walk:
     size = [1] * len(order)
     for p in range(len(order) - 1, 0, -1):
         size[up[p]] += size[p]
-    return _Walk(order, position, up, label, size)
+    return TraversalOrder(order, position, up, label, size)
 
 
 def traversal(tree: SigmaTree) -> TraversalOrder:
-    """The deterministic depth-first numbering used by all algorithms.
+    """The deterministic depth-first walk that every algorithm reads.
 
     Neighbours are visited by ascending (letter rank, direction with forward
     first, original neighbour id), so every run over the same representation
-    produces the same numbering.  The tree computes and caches it once, by
-    an explicit-stack preorder walk over a sorted adjacency list that is
-    built for the walk and dropped, as flat lists indexed by position: the
-    parent's position, the integer signed label of the edge in, and the
-    subtree size.  This view, with ``SignedLabel``s and spans, is built from
-    those lists on each call.
+    gives the same walk.  The tree computes and caches it once, by an
+    explicit-stack preorder walk over a sorted adjacency list that is built
+    for the walk and dropped.  This returns an immutable copy of the cache.
     """
-    order, position, up, label, size = tree._traversal
-    slabs = [SignedLabel(letter, rev) for letter in tree.alphabet.letters for rev in (False, True)]
-    parent: list[Optional[tuple[int, SignedLabel]]] = [None] * len(position)
-    children: list[list[tuple[int, SignedLabel]]] = [[] for _ in position]
-    span = [(0, 0)] * len(position)
-    for p, v in enumerate(order):
-        span[v] = (p, p + size[p])
-        if p:
-            parent[v] = (order[up[p]], slabs[label[p]])
-            children[up[p]].append((p, slabs[label[p]]))
-    return TraversalOrder(
-        tuple(order), tuple(position), tuple(parent), tuple(map(tuple, children)), tuple(span)
-    )
+    return TraversalOrder(*map(tuple, tree._traversal))
 
 
 def trunk(tree: SigmaTree) -> Trunk:
@@ -383,7 +344,10 @@ def from_json(text: str) -> SigmaTree:
     """
     import json
 
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:
+        raise ValueError("malformed tree JSON: nested too deeply") from exc
     try:
         letters, n, start, end = obj["alphabet"], obj["n"], obj["start"], obj["end"]
         if type(obj["edges"]) is not list:

@@ -43,7 +43,6 @@ from adequate import (
     PrunedWitness,
     Sidedness,
     SigmaTree,
-    SignedLabel,
     TraversalOrder,
     Unary,
     UnaryOp,
@@ -59,7 +58,6 @@ from adequate import (
     parse,
     prune,
     render,
-    traversal,
     trivial_tree,
     trunk,
     unpruned_plus,
@@ -329,19 +327,18 @@ def propagate_unmemoised(t1: SigmaTree, t2: SigmaTree) -> list[int]:
     From full masks, cut to the target's start and end, each position in
     reverse preorder ANDs in, per child, the sources of the edges whose
     label and direction match the child's and whose head is a candidate of
-    the child.  It reads the public traversal view of ``t1`` and groups the
-    edges of ``t2`` by ``SignedLabel`` itself, so it shares no index with
-    the library.
+    the child.  It reads the children off the reference walk of ``t1`` and
+    groups the edges of ``t2`` by ``(letter, reverse)`` itself, so it shares
+    no index with the library.
     """
-    tr = traversal(t1)
+    walk, _, children = _reference_links(t1)
     masks = [(1 << t2.vertex_count) - 1] * t1.vertex_count
     masks[0] &= 1 << t2.start
-    masks[tr.position[t1.end]] &= 1 << t2.end
-    children = tr.children
+    masks[walk.position[t1.end]] &= 1 << t2.end
     groups = defaultdict(list)
     for label, s, t in t2.edges:
-        groups[SignedLabel(label, False)].append((s, t))
-        groups[SignedLabel(label, True)].append((t, s))
+        groups[label, False].append((s, t))
+        groups[label, True].append((t, s))
     nbytes = (t2.vertex_count + 7) // 8
     for p in range(t1.vertex_count - 1, -1, -1):
         bp = masks[p]
@@ -360,20 +357,21 @@ def forward_reach(t1: SigmaTree, t2: SigmaTree) -> list[int]:
     """Per traversal position p of ``t1``, the mask of D(p): every vertex of
     ``t2`` reached from its start by reading p's path word from the start.
 
-    Each vertex's word is read off the public traversal view of ``t1`` and
-    walked through ``t2.edges`` letter by letter on its own, sharing nothing
-    with the words of other vertices or with the library's indexes.
+    Each vertex's word is read off the parent edges of the reference walk
+    of ``t1`` and walked through ``t2.edges`` letter by letter on its own,
+    sharing nothing with the words of other vertices or with the library's
+    indexes.
     """
-    tr = traversal(t1)
+    walk, parent, _ = _reference_links(t1)
     step = defaultdict(list)
     for label, s, t in t2.edges:
-        step[SignedLabel(label, False), s].append(t)
-        step[SignedLabel(label, True), t].append(s)
+        step[(label, False), s].append(t)
+        step[(label, True), t].append(s)
     reach = []
-    for v in tr.order:
+    for v in walk.order:
         word = []
-        while tr.parent[v] is not None:
-            v, slab = tr.parent[v]
+        while parent[v] is not None:
+            v, slab = parent[v]
             word.append(slab)
         current = {t2.start}
         for slab in reversed(word):
@@ -386,9 +384,9 @@ def all_morphisms_recursive(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int,
     """Reference enumeration: the recursive backtracker, one generator per
     level, that the library replaced with an explicit stack.  Yields every
     morphism's vertex map in the same order."""
-    tr = traversal(t1)
+    walk, parent_edge, _ = _reference_links(t1)
     n = t1.vertex_count
-    order = tr.order
+    order = walk.order
     pairs = edge_pairs(t2)
     end1, end2 = t1.end, t2.end
     mapping = [-1] * n
@@ -398,9 +396,9 @@ def all_morphisms_recursive(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int,
             yield tuple(mapping)
             return
         v = order[k]
-        parent, slab = tr.parent[v]
+        parent, (letter, reverse) = parent_edge[v]
         src = mapping[parent]
-        for x, y in pairs[2 * t2.alphabet.index(slab.letter) + slab.reverse]:
+        for x, y in pairs[2 * t2.alphabet.index(letter) + reverse]:
             if x != src:
                 continue
             if v == end1 and y != end2:
@@ -431,23 +429,23 @@ def extract_morphism_by_scan(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMor
 
     From the reference masks, each vertex in traversal order takes the least
     candidate y such that an edge labelled as the edge in leads from its
-    parent's image to y.  It reads the public traversal view of ``t1`` and
-    pairs built from ``t2.edges``.
+    parent's image to y.  It reads the parent edges of the reference walk
+    of ``t1`` and pairs built from ``t2.edges``.
     """
     masks = propagate_unmemoised(t1, t2)
     if masks[0] == 0:
         return None
-    tr = traversal(t1)
+    walk, parent_edge, _ = _reference_links(t1)
     pairs = edge_pairs(t2)
     mapping = [-1] * t1.vertex_count
     first = masks[0]
     mapping[t1.start] = (first & -first).bit_length() - 1
     for p in range(1, t1.vertex_count):
-        v = tr.order[p]
-        parent, slab = tr.parent[v]
+        v = walk.order[p]
+        parent, (letter, reverse) = parent_edge[v]
         src = mapping[parent]
         best = -1
-        for x, y in pairs[2 * t1.alphabet.index(slab.letter) + slab.reverse]:
+        for x, y in pairs[2 * t1.alphabet.index(letter) + reverse]:
             if x == src and (masks[p] >> y) & 1 and (best < 0 or y < best):
                 best = y
         if best < 0:
@@ -511,9 +509,9 @@ def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
     """Reference traversal: a depth-first search keeping one neighbour
     iterator per open vertex, marking vertices when they are visited.
     Neighbours are sorted by (letter rank, direction, id), from an adjacency
-    built here straight from the edge list."""
+    built here straight from the edge list.  Each subtree's size is counted
+    when its vertex's iterator runs out."""
     n = tree.vertex_count
-    letters = tree.alphabet.letters
     adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for label, s, t in tree.edges:
         li = tree.alphabet.index(label)
@@ -524,34 +522,42 @@ def traversal_by_iterators(tree: SigmaTree) -> TraversalOrder:
     position = [-1] * n
     order = [tree.start]
     position[tree.start] = 0
-    parent: list[Optional[tuple[int, SignedLabel]]] = [None] * n
-    span = [(0, 0)] * n
-    children: list[list[tuple[int, SignedLabel]]] = [[] for _ in range(n)]
+    up = [-1]
+    label = [-1]
+    size = [0]
     stack = [(tree.start, iter(adj[tree.start]))]
     while stack:
         v, neighbours = stack[-1]
         descended = False
         for li, rev, w in neighbours:
             if position[w] < 0:
-                slab = SignedLabel(letters[li], bool(rev))
                 position[w] = len(order)
-                children[position[v]].append((position[w], slab))
-                parent[w] = (v, slab)
                 order.append(w)
+                up.append(position[v])
+                label.append(2 * li + rev)
+                size.append(0)
                 stack.append((w, iter(adj[w])))
                 descended = True
                 break
         if not descended:
             stack.pop()
-            span[v] = (position[v], len(order))
-    return TraversalOrder(
-        tuple(order),
-        tuple(position),
-        tuple(parent),
-        tuple(tuple(c) for c in children),
-        tuple(span),
-    )
+            size[position[v]] = len(order) - position[v]
+    return TraversalOrder(tuple(order), tuple(position), tuple(up), tuple(label), tuple(size))
 
+
+def _reference_links(tree: SigmaTree):
+    """The reference walk of ``tree``, and read off it: per vertex, the
+    parent vertex and the ``(letter, reverse)`` pair of the edge in (None at
+    the start); per position, the child positions with those pairs."""
+    walk = traversal_by_iterators(tree)
+    letters = tree.alphabet.letters
+    parent: list[Optional[tuple[int, tuple[str, bool]]]] = [None] * tree.vertex_count
+    children: list[list[tuple[int, tuple[str, bool]]]] = [[] for _ in walk.order]
+    for p in range(1, len(walk.order)):
+        slab = (letters[walk.label[p] >> 1], bool(walk.label[p] & 1))
+        parent[walk.order[p]] = (walk.order[walk.up[p]], slab)
+        children[walk.up[p]].append((p, slab))
+    return walk, parent, children
 
 
 def _sorted_adjacency(tree: SigmaTree) -> list[list[int]]:
@@ -578,10 +584,10 @@ def pruned_vertex_set_by_adjacency(tree: SigmaTree) -> frozenset[int]:
     n = tree.vertex_count
     if n == 1:
         return frozenset((0,))
-    tr = traversal(tree)
+    walk = traversal_by_iterators(tree)
     masks = candidate_sets(tree, tree).masks
     adjacency = _sorted_adjacency(tree)
-    position, order, span = tr.position, tr.order, tr.span
+    position, order, size = walk.position, walk.order, walk.size
     alive = bytearray([1]) * n
     for p in range(n):
         w = order[p]
@@ -608,8 +614,8 @@ def pruned_vertex_set_by_adjacency(tree: SigmaTree) -> frozenset[int]:
             for u in later:
                 if kmask & masks[position[u]] != 1 << u:
                     kmask &= ~(1 << u)
-                    lo, hi = span[u]
-                    for q in range(lo, hi):
+                    lo = position[u]
+                    for q in range(lo, lo + size[lo]):
                         alive[order[q]] = 0
     return frozenset(v for v in range(n) if alive[v])
 
@@ -806,16 +812,6 @@ class DataclassMode:
 
 
 @dataclass(frozen=True)
-class DataclassTraversalOrder:
-    __qualname__ = "TraversalOrder"
-    order: tuple[int, ...]
-    position: tuple[int, ...]
-    parent: tuple
-    children: tuple
-    span: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class DataclassSigmaTree:
     __qualname__ = "SigmaTree"
     alphabet: Alphabet
@@ -834,7 +830,6 @@ DATACLASS_REFERENCES = {
     CandidateSets: DataclassCandidateSets,
     PrunedWitness: DataclassPrunedWitness,
     Mode: DataclassMode,
-    TraversalOrder: DataclassTraversalOrder,
     SigmaTree: DataclassSigmaTree,
 }
 

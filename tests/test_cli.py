@@ -423,6 +423,9 @@ def test_lean_parser_matches_full_parser_on_fuzzed_argv(fuzz_dir, flags, command
         ["--alphabet", "xy", "--mode", "left", "--semigroup", "eq", "x", "x"],
         ["--swap-sided-ops", "--mode", "right", "nf", "(x)*x"],
         ["--alphabet", "eq", "nf", "e"],
+        ["--alphabet", "gen", "eq", "a", "b"],
+        ["--alphabet", "eq"],
+        ["--alphabet", "eq", "eq", "a", "b"],
         ["--alph", "xy", "eq", "x", "y"],
         ["--mode=left", "check-identity", "(x)+x", "x"],
         ["--seed=5", "gen", "--edges", "3"],

@@ -259,10 +259,12 @@ def test_propagate_matches_unmemoised_on_wide_targets(ab):
         t1 = random_tree(rng, rng.randrange(20, 400), abc)
         t2 = _over(abc, random_tree(rng, rng.randrange(64, 400), ab))
         masks = _check_passes(t1, t2)
-        for p, kids in enumerate(traversal(t1).children):
-            if any(slab.letter == "c" for _, slab in kids):
-                assert masks[p] == 0
-                c_images += 1
+        walk = traversal(t1)
+        c = abc.index("c")
+        # Each position with a child along c; a signed label's letter index is label >> 1.
+        for p in {walk.up[q] for q in range(1, len(walk.order)) if walk.label[q] >> 1 == c}:
+            assert masks[p] == 0
+            c_images += 1
     assert c_images > 0
     # Wide targets whose edges all carry one letter.
     for _ in range(6):
@@ -363,12 +365,14 @@ def test_forward_reach_bounds_masks(ab):
         masks = _propagate(source, tree)
         assert all(m & ~d == 0 for m, d in zip(masks, reach))
         if not any(label == "c" for label, _, _ in tree.edges):
-            tr = traversal(source)
-            for p, v in enumerate(tr.order):
+            walk = traversal(source)
+            letters = source.alphabet.letters
+            for p in range(len(walk.order)):
                 word = []
-                while tr.parent[v] is not None:
-                    v, slab = tr.parent[v]
-                    word.append(slab.letter)
+                q = p
+                while q:
+                    word.append(letters[walk.label[q] >> 1])
+                    q = walk.up[q]
                 if "c" in word:
                     assert reach[p] == masks[p] == 0
                     c_words += 1

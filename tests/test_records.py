@@ -31,7 +31,6 @@ from adequate import (
     parse,
     prune,
     to_json,
-    traversal,
     trivial_tree,
 )
 from adequate.generate import random_tree
@@ -69,7 +68,6 @@ def _samples() -> dict[type, list]:
         *formulas,
         *factors,
         *trees,
-        *map(traversal, trees),
         *map(prune, trees),
         *(candidate_sets(x, y) for x, y in pairs),
         *(w for x, y in pairs if (w := extract_morphism(x, y)) is not None),

@@ -153,9 +153,10 @@ def _spaced(rng, text):
 
 
 def test_check_identity_matches_regrounding_reference():
-    # Each pair twice: grounded over its own letters, as the CLI grounds it
-    # (check_identity calls equal on it as it is), and over a wider
-    # alphabet (check_identity parses it again).
+    # Each pair with both sides over one alphabet, its own letters (as the
+    # CLI grounds it) or a wider one: check_identity calls equal on it as it
+    # is.  Then with one side over each: check_identity parses both again
+    # over the letters that occur.
     rng = Random(6262)
     pairs = list(KNOWN_IDENTITIES + KNOWN_NON_IDENTITIES)
     for _ in range(150):
@@ -165,14 +166,15 @@ def test_check_identity_matches_regrounding_reference():
     outcomes = set()
     for lhs, rhs in pairs:
         own = _identity_alphabet(lhs, rhs)
-        for alphabet in (own, wide):
-            f, g = parse(lhs, alphabet), parse(rhs, alphabet)
+        for left, right in ((own, own), (wide, wide), (own, wide), (wide, own)):
+            f, g = parse(lhs, left), parse(rhs, right)
             for mode in MODES:
                 got = _identity_outcome(check_identity, f, g, mode)
                 assert got == _identity_outcome(check_identity_by_regrounding, f, g, mode), (
                     lhs,
                     rhs,
-                    alphabet,
+                    left,
+                    right,
                     mode,
                 )
                 outcomes.add(got)

@@ -6,6 +6,7 @@ from random import Random
 import pytest
 from hypothesis import given
 
+import adequate
 from adequate import (
     Alphabet,
     AlphabetMismatch,
@@ -18,7 +19,7 @@ from adequate import (
     NotATree,
     Sidedness,
     SigmaTree,
-    SignedLabel,
+    TraversalOrder,
     Unary,
     UnaryOp,
     UnknownSymbol,
@@ -220,12 +221,13 @@ def test_validate_accepts_unpruned_op_outputs(t):
 
 
 def test_traversal_examples(ab):
-    tr = traversal(base_tree("a", ab))
-    assert tr.order == (0, 1)
-    assert tr.parent[1] == (0, SignedLabel("a", False))
+    assert traversal(base_tree("a", ab)) == ((0, 1), (0, 1), (-1, 0), (-1, 0), (2, 1))
+    # The b-edge into vertex 2 is read against its arrow: signed label 2 * 1 + 1.
+    t = validate(3, 0, 1, [("a", 0, 1), ("b", 2, 0)], ab)
+    assert traversal(t) == TraversalOrder((0, 1, 2), (0, 1, 2), (-1, 0, 0), (-1, 0, 3), (3, 1, 1))
     t = validate(3, 0, 2, [("a", 0, 1), ("a", 0, 2)], ab)
     assert traversal(t).order == (0, 1, 2)
-    assert traversal(trivial_tree(ab)).order == (0,)
+    assert traversal(trivial_tree(ab)) == ((0,), (0,), (-1,), (-1,), (1,))
 
 
 def test_traversal_view_fills_the_cache_the_algorithms_read(ab):
@@ -239,6 +241,24 @@ def test_traversal_view_fills_the_cache_the_algorithms_read(ab):
     prune(t)
     exists_morphism(t, t)
     assert set(vars(t)) == {"alphabet", "vertex_count", "start", "end", "edges", "_traversal", "_preimages"}
+
+
+def test_traversal_is_an_immutable_copy_of_the_cache(ab):
+    rng = Random(6062)
+    cases = [trivial_tree(ab), evaluate(parse("a(b)+(a)*b", ab))]
+    for t in cases + [random_tree(rng, k, ab) for k in (1, 5, 40)]:
+        cached = t._traversal
+        before = [list(field) for field in cached]
+        tr = traversal(t)
+        assert all(type(field) is tuple for field in tr)
+        assert hash(tr) == hash(traversal(t)) and tr == traversal_by_iterators(t)
+        assert type(cached) is TraversalOrder and all(type(field) is list for field in cached)
+        assert tr._fields == ("order", "position", "up", "label", "size")
+        assert [list(field) for field in tr] == [list(field) for field in cached] == before
+        assert t._traversal is cached
+    # The walk has one record: the view type and its label type are gone.
+    for name in ("SignedLabel", "_Walk"):
+        assert not hasattr(adequate, name) and not hasattr(adequate.tree, name)
 
 
 def test_trunk_of_an_unvalidated_tree_needs_a_path_to_the_end(ab):
@@ -284,10 +304,9 @@ def test_every_constructor_keeps_plain_edge_tuples(ab):
 def test_traversal_parents_precede_children(t):
     tr = traversal(t)
     assert tr.order[0] == t.start
-    for v in range(t.vertex_count):
-        if v != t.start:
-            parent_vertex, _ = tr.parent[v]
-            assert tr.position[parent_vertex] < tr.position[v]
+    assert all(tr.order[tr.position[v]] == v for v in range(t.vertex_count))
+    for p in range(1, t.vertex_count):
+        assert tr.up[p] < p < tr.up[p] + tr.size[tr.up[p]]
 
 
 def test_traversal_matches_reference_on_random_trees():
@@ -411,6 +430,11 @@ def test_from_json_rejects_edges_that_are_not_a_list(edges):
     obj = {"alphabet": "ab", "n": 1, "start": 0, "end": 0, "edges": edges}
     with pytest.raises(ValueError, match="^malformed tree JSON: "):
         from_json(json.dumps(obj))
+
+
+def test_from_json_raises_value_error_on_deep_nesting():
+    with pytest.raises(ValueError, match="^malformed tree JSON: nested too deeply$"):
+        from_json('{"alphabet":' + "[" * 5000 + "]" * 5000 + "}")
 
 
 def test_from_json_loads_the_one_vertex_tree(ab):
