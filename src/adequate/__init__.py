@@ -46,7 +46,6 @@ from .formula import (
     render,
 )
 from .homomorphism import (
-    CandidateSets,
     VertexMorphism,
     candidate_sets,
     exists_morphism,
@@ -118,7 +117,6 @@ __all__ = [
     "AlphabetMismatch",
     "BadVertexId",
     "BareGroup",
-    "CandidateSets",
     "DEFAULT_MODE",
     "DanglingUnary",
     "Edge",

@@ -1,21 +1,28 @@
-"""Value classes with dataclass behaviour but none of its import cost.
+"""Value classes with frozen-dataclass behaviour but none of its import cost.
 
 Importing ``dataclasses`` loads ``inspect`` and with it ``ast``, ``dis`` and
 ``tokenize``, and each ``@dataclass`` compiles its methods when the class is
-created.  The decision path's classes instead derive from :class:`Record`,
-which reads the field names from ``__match_args__``, and write their fields
-in an explicit ``__init__``.
+created.  Every value class instead derives from :class:`Frozen`, which
+reads the field names from ``__match_args__``, and writes its fields in an
+explicit ``__init__``.
 """
 
 from __future__ import annotations
 
 
-class Record:
-    """Field-wise ``==``, ``hash`` and ``repr``, as ``@dataclass`` gives them.
+class Frozen:
+    """Field-wise ``==``, ``hash`` and ``repr``, as ``@dataclass(frozen=True)``
+    gives them, and attributes that cannot be set or deleted.
 
     ``__match_args__`` names the fields in order.  Instances equal only
     instances of the same class; the hash and the ``repr`` text are those of
-    the dataclass with the same fields.
+    the dataclass with the same fields.  ``__init__`` fills ``self.__dict__``
+    directly; assignment and deletion raise
+    ``dataclasses.FrozenInstanceError``, as on a frozen dataclass.
+
+    A pickle or a deep copy holds only the attributes that the class
+    annotates, which are what its ``__init__`` stores, so no cached
+    property travels with it.
     """
 
     __slots__ = ()
@@ -38,15 +45,9 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
         return f"{self.__class__.__qualname__}({fields})"
 
-
-class Frozen(Record):
-    """A record whose attributes cannot be set or deleted.
-
-    ``__init__`` fills ``self.__dict__`` directly; assignment and deletion
-    raise ``dataclasses.FrozenInstanceError``, as on a frozen dataclass.
-    """
-
-    __slots__ = ()
+    def __getstate__(self) -> dict:
+        stored = self.__dict__
+        return {name: stored[name] for name in self.__class__.__annotations__}
 
     def __setattr__(self, name: str, value) -> None:
         raise _frozen(f"cannot assign to field {name!r}")

@@ -20,8 +20,10 @@ def canonical_word(tree: SigmaTree) -> str:
 
     At most four characters per edge; computed in quadratic time.
     """
-    letters = tree.alphabet.letters
-    omega_key = tree.alphabet.omega_key
+    # The word is built in the ranks of the word order, so that a plain
+    # sort orders branch words, and decoded once at the end.
+    ranks, decode = tree.alphabet._word_order
+    opening, close_plus, close_star = ranks[-4], ranks[-3] + ranks[-2], ranks[-3] + ranks[-1]
     order, position, up, label, _ = tree._traversal
     trunk_info = trunk(tree)
     on_trunk = bytearray(len(order))
@@ -38,7 +40,7 @@ def canonical_word(tree: SigmaTree) -> str:
     def assemble(p: int) -> str:
         words = taus[p]
         if len(words) > 1:
-            words.sort(key=omega_key)
+            words.sort()
         return "".join(words)
 
     for p in range(len(order) - 1, 0, -1):
@@ -46,15 +48,16 @@ def canonical_word(tree: SigmaTree) -> str:
             continue
         s = label[p]
         if s & 1:
-            taus[up[p]].append("(" + assemble(p) + letters[s >> 1] + ")*")
+            taus[up[p]].append(opening + assemble(p) + ranks[s >> 1] + close_star)
         else:
-            taus[up[p]].append("(" + letters[s >> 1] + assemble(p) + ")+")
+            taus[up[p]].append(opening + ranks[s >> 1] + assemble(p) + close_plus)
 
     parts = [assemble(0)]
-    for letter, v in zip(trunk_info.labels, trunk_info.vertices[1:]):
-        parts.append(letter)
-        parts.append(assemble(position[v]))
-    return "".join(parts)
+    for v in trunk_info.vertices[1:]:
+        q = position[v]
+        parts.append(ranks[label[q] >> 1])
+        parts.append(assemble(q))
+    return "".join(parts).translate(decode)
 
 
 def canonical_formula(tree: SigmaTree) -> Formula:

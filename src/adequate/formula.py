@@ -86,16 +86,12 @@ class Alphabet(Frozen):
         return str.maketrans("", "", "".join(self.letters) + "+*")
 
     @cached_property
-    def _omega_table(self) -> dict[int, str]:
-        # Word order: generators in alphabet order, then ( ) + *.
-        ranks = {ch: i for i, ch in enumerate(self.letters)}
-        for j, ch in enumerate(RESERVED):
-            ranks[ch] = len(self.letters) + j
-        return str.maketrans({ch: chr(r) for ch, r in ranks.items()})
-
-    def omega_key(self, word: str) -> str:
-        """Map a formula word to a string whose natural order is the word order."""
-        return word.translate(self._omega_table)
+    def _word_order(self) -> tuple[str, dict[int, str]]:
+        # The word order ranks the generators in alphabet order, then
+        # ( ) + *.  Text written with rank r as chr(r) sorts in that order
+        # by plain string comparison; the table decodes it.
+        ranks = "".join(map(chr, range(len(self.letters) + len(RESERVED))))
+        return ranks, str.maketrans(ranks, "".join(self.letters) + RESERVED)
 
 
 class Letter(Frozen):

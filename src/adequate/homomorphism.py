@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ._record import Frozen, Record
+from ._record import Frozen
 from .errors import AlphabetMismatch
 from .tree import SigmaTree
 
@@ -45,33 +45,6 @@ class VertexMorphism(Frozen):
 
     def __call__(self, v: int) -> int:
         return self.mapping[v]
-
-
-class CandidateSets(Record):
-    """Candidate images per source vertex, in traversal position order.
-
-    ``masks[p]`` has bit ``v`` set when target vertex ``v`` is still a
-    possible image of the source vertex at position ``p`` after both passes:
-    the forward pass starts it at D(p), the target vertices that p's path
-    word reaches from the target's start, and the backward pass only clears
-    bits.  Every morphism maps p to a member.
-    """
-
-    __match_args__ = ("masks", "target_count")
-    __hash__ = None  # mutable, as a dataclass that is not frozen
-    masks: list[int]
-    target_count: int
-
-    def __init__(self, masks, target_count):
-        self.masks = masks
-        self.target_count = target_count
-
-    def contains(self, pos: int, v: int) -> bool:
-        return (self.masks[pos] >> v) & 1 == 1
-
-    def members(self, pos: int) -> list[int]:
-        mask = self.masks[pos]
-        return [v for v in range(self.target_count) if (mask >> v) & 1]
 
 
 def _check_alphabets(t1: SigmaTree, t2: SigmaTree) -> None:
@@ -139,12 +112,18 @@ def _propagate(t1: SigmaTree, t2: SigmaTree, _early_exit: bool = False) -> list[
     return masks
 
 
-def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> CandidateSets:
-    """The candidate sets for maps from ``t1`` into ``t2`` after the forward
-    and the backward pass: each lies in D(p) and has passed every child's
-    filter, so ``masks[0]`` is not 0 exactly when a morphism exists."""
+def candidate_sets(t1: SigmaTree, t2: SigmaTree) -> list[int]:
+    """The candidate sets, as bitmasks ``masks`` by traversal position of ``t1``.
+
+    Bit ``v`` of ``masks[p]`` is set when target vertex ``v`` is still a
+    possible image of the source vertex at position ``p`` after both passes:
+    the forward pass starts it at D(p), the target vertices that p's path
+    word reaches from the target's start, and the backward pass only clears
+    bits.  Every morphism maps p to a member, so ``masks[0]`` is not 0
+    exactly when a morphism exists.
+    """
     _check_alphabets(t1, t2)
-    return CandidateSets(_propagate(t1, t2), t2.vertex_count)
+    return _propagate(t1, t2)
 
 
 def exists_morphism(t1: SigmaTree, t2: SigmaTree) -> bool:

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .homomorphism import _check_alphabets
-from .pruning import _induced_subtree
+from .errors import AlphabetMismatch
 from .tree import SigmaTree
 
 
@@ -33,8 +32,12 @@ def _all_morphisms(t1: SigmaTree, t2: SigmaTree) -> Iterator[tuple[int, ...]]:
     edge leads to it from the parent's image (and it is the target's end
     when position k holds the source's end).  Maps come in lexicographic
     order of those edge choices.
+
+    It reads ``t1._traversal``, the walk that propagation also reads: a
+    walk of its own would add its time to each of millions of tiny pairs.
     """
-    _check_alphabets(t1, t2)
+    if t1.alphabet != t2.alphabet:
+        raise AlphabetMismatch("trees are over different alphabets")
     tr = t1._traversal
     n = t1.vertex_count
     order, up, label = tr.order, tr.up, tr.label
@@ -100,4 +103,6 @@ def minimal_retract_bruteforce(tree: SigmaTree) -> SigmaTree:
         image = best[1]
         if len(image) == n:
             return current
-        current = _induced_subtree(current, image)
+        new = {v: i for i, v in enumerate(image)}
+        edges = tuple((label, new[s], new[t]) for label, s, t in current.edges if s in new and t in new)
+        current = SigmaTree(current.alphabet, len(image), new[current.start], new[current.end], edges)

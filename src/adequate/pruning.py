@@ -11,7 +11,7 @@ branches; total time is quadratic in the vertex count.
 from __future__ import annotations
 
 from ._record import Frozen
-from .homomorphism import _propagate
+from .homomorphism import candidate_sets
 from .tree import SigmaTree, unpruned_plus, unpruned_product, unpruned_star
 
 
@@ -48,7 +48,7 @@ def pruned_vertex_set(tree: SigmaTree) -> frozenset[int]:
     """
     n = tree.vertex_count
     order, _, up, label, size = tree._traversal
-    masks = _propagate(tree, tree)
+    masks = candidate_sets(tree, tree)
     alive = bytearray([1]) * n
     for p in range(n):
         if not alive[p]:

@@ -387,11 +387,11 @@ def _only_keys(obj: dict, known: tuple[str, ...]) -> None:
         raise ValueError(f"malformed tree JSON: unknown key {key!r}")
 
 
-def to_dot(tree: SigmaTree, name: str = "sigma_tree") -> str:
-    """DOT export: start drawn as a diamond, end as a double circle.
+def to_dot(tree: SigmaTree) -> str:
+    """DOT digraph ``sigma_tree``: start drawn as a diamond, end as a double circle.
 
     Labels are quoted, with ``\\`` and ``"`` escaped."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph sigma_tree {"]
     for v in range(tree.vertex_count):
         if v == tree.start == tree.end:
             lines.append(f"  {v} [shape=diamond, peripheries=3];")

@@ -33,7 +33,6 @@ from typing import Iterator, Optional
 from adequate import (
     Alphabet,
     BareGroup,
-    CandidateSets,
     DanglingUnary,
     EmptyNotAllowed,
     Formula,
@@ -585,7 +584,7 @@ def pruned_vertex_set_by_adjacency(tree: SigmaTree) -> frozenset[int]:
     if n == 1:
         return frozenset((0,))
     walk = traversal_by_iterators(tree)
-    masks = candidate_sets(tree, tree).masks
+    masks = candidate_sets(tree, tree)
     adjacency = _sorted_adjacency(tree)
     position, order, size = walk.position, walk.order, walk.size
     alive = bytearray([1]) * n
@@ -620,12 +619,19 @@ def pruned_vertex_set_by_adjacency(tree: SigmaTree) -> frozenset[int]:
     return frozenset(v for v in range(n) if alive[v])
 
 
+def word_order_key(alphabet: Alphabet):
+    """Sort key for formula words in the word order: generators in alphabet
+    order, then ``( ) + *``, compared rank by rank, a prefix first."""
+    rank = {ch: i for i, ch in enumerate(alphabet.letters + ("(", ")", "+", "*"))}
+    return lambda word: [rank[ch] for ch in word]
+
+
 def canonical_word_by_bfs(tree: SigmaTree) -> str:
     """Reference canonical word: the breadth-first walk away from the trunk
     over a sorted adjacency list that the library replaced with a reverse
     preorder pass over its traversal."""
     letters = tree.alphabet.letters
-    omega_key = tree.alphabet.omega_key
+    key = word_order_key(tree.alphabet)
     n = tree.vertex_count
     adjacency = _sorted_adjacency(tree)
     trunk_info = trunk(tree)
@@ -654,7 +660,7 @@ def canonical_word_by_bfs(tree: SigmaTree) -> str:
                 taus.append("(" + hanging[w] + letters[s >> 1] + ")*")
             else:
                 taus.append("(" + letters[s >> 1] + hanging[w] + ")+")
-        taus.sort(key=omega_key)
+        taus.sort(key=key)
         return "".join(taus)
 
     for v in reversed(offtrunk_order):
@@ -788,13 +794,6 @@ class DataclassVertexMorphism:
     mapping: tuple[int, ...]
 
 
-@dataclass
-class DataclassCandidateSets:
-    __qualname__ = "CandidateSets"
-    masks: list[int]
-    target_count: int
-
-
 @dataclass(frozen=True)
 class DataclassPrunedWitness:
     __qualname__ = "PrunedWitness"
@@ -827,7 +826,6 @@ DATACLASS_REFERENCES = {
     Unary: DataclassUnary,
     Formula: DataclassFormula,
     VertexMorphism: DataclassVertexMorphism,
-    CandidateSets: DataclassCandidateSets,
     PrunedWitness: DataclassPrunedWitness,
     Mode: DataclassMode,
     SigmaTree: DataclassSigmaTree,

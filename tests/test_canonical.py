@@ -16,7 +16,7 @@ from adequate import (
     render,
 )
 from adequate.generate import enumerate_trees, random_relabelling, random_tree
-from oracles import canonical_word_by_bfs, evaluate_roundtrip_check, structural_key
+from oracles import canonical_word_by_bfs, evaluate_roundtrip_check, structural_key, word_order_key
 from strategies import trees
 
 
@@ -81,7 +81,7 @@ def test_length_bound(t):
 
 def _sorted_runs(formula):
     """Every maximal run of group factors must be nondecreasing in word order."""
-    key = formula.alphabet.omega_key
+    key = word_order_key(formula.alphabet)
     stack = [formula]
     while stack:
         current = stack.pop()

@@ -79,7 +79,7 @@ def _morphism_outcomes():
         yield repr((
             equal(fx, fy),
             None if witness is None else witness.mapping,
-            candidate_sets(x, y).masks,
+            candidate_sets(x, y),
         ))
 
 

@@ -185,7 +185,7 @@ def test_prune_matches_unmemoised_propagation_on_wide_trees(ab, monkeypatch):
         x = random_tree(rng, rng.randrange(65, 801), ab)
         cases += [x, unpruned_product(unpruned_plus(random_relabelling(rng, x)), x)]
     fast = [prune(t).tree for t in cases]
-    monkeypatch.setattr(pruning, "_propagate", propagate_unmemoised)
+    monkeypatch.setattr(pruning, "candidate_sets", propagate_unmemoised)
     slow = [prune(t).tree for t in cases]
     assert [to_json(t) for t in fast] == [to_json(t) for t in slow]
     assert [canonical_word(t) for t in fast] == [canonical_word(t) for t in slow]

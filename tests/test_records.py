@@ -2,15 +2,16 @@
 
 Each class must answer ``==``, ``!=``, ``hash`` and ``repr`` as its
 reference dataclass in ``oracles.py`` does when that holds the same field
-values, refuse assignment and deletion the same way when frozen, and
-survive a pickle round trip.
+values, refuse assignment and deletion the same way, and survive a
+pickle round trip that carries its fields and none of its caches.
 """
 
 from __future__ import annotations
 
 import pickle
+from copy import deepcopy
 from dataclasses import FrozenInstanceError, fields, is_dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from inspect import signature
 from itertools import product
 from random import Random
@@ -19,13 +20,13 @@ import pytest
 
 from adequate import (
     Alphabet,
-    CandidateSets,
     Formula,
     Mode,
     Sidedness,
+    SigmaTree,
     Unary,
-    candidate_sets,
     evaluate,
+    exists_morphism,
     extract_morphism,
     from_json,
     parse,
@@ -69,7 +70,6 @@ def _samples() -> dict[type, list]:
         *factors,
         *trees,
         *map(prune, trees),
-        *(candidate_sets(x, y) for x, y in pairs),
         *(w for x, y in pairs if (w := extract_morphism(x, y)) is not None),
         Mode(),
         Mode(sidedness=Sidedness.LEFT),
@@ -114,24 +114,13 @@ def test_hash_and_repr_match_the_dataclass():
     for cls, value in _all_samples():
         ref = dataclass_reference(value)
         assert repr(value) == repr(ref)
-        if cls is CandidateSets:
-            for unhashable in (value, ref):
-                with pytest.raises(TypeError):
-                    hash(unhashable)
-        else:
-            assert hash(value) == hash(ref)
+        assert hash(value) == hash(ref)
 
 
 def test_frozen_classes_refuse_assignment_and_deletion():
     for cls, value in _all_samples():
         ref = dataclass_reference(value)
         names = [field.name for field in fields(ref)] + ["other"]
-        if cls is CandidateSets:
-            # Not frozen, as its reference is not: a copy takes assignment.
-            copy = CandidateSets(value.masks, value.target_count)
-            copy.target_count = ref.target_count = -1
-            assert repr(copy) == repr(ref)
-            continue
         before = repr(value)
         for name in names:
             errors = []
@@ -145,12 +134,36 @@ def test_frozen_classes_refuse_assignment_and_deletion():
         assert repr(value) == before
 
 
+def _stored_fields(cls) -> set[str]:
+    # What each constructor stores: the fields, but a formula's text in
+    # place of its factors.
+    return {"_text", "alphabet"} if cls is Formula else set(cls.__match_args__)
+
+
+def _fill_caches(value) -> None:
+    for name, attr in vars(type(value)).items():
+        if isinstance(attr, cached_property):
+            getattr(value, name)
+
+
 def test_pickle_round_trip():
+    # A pickle holds the stored fields and no cache, so its bytes do not
+    # change when the caches fill.
     for cls, value in _all_samples():
-        again = pickle.loads(pickle.dumps(value))
-        assert type(again) is cls and again == value and repr(again) == repr(value)
-        if cls is not CandidateSets:
-            assert hash(again) == hash(value)
+        before = pickle.dumps(value)
+        _fill_caches(value)
+        assert pickle.dumps(value) == before
+        again = pickle.loads(before)
+        assert type(again) is cls and set(vars(again)) == _stored_fields(cls)
+        assert again == value and repr(again) == repr(value) and hash(again) == hash(value)
+
+
+def test_deep_copies_carry_no_caches():
+    tree = random_tree(Random(1212), 40, Alphabet.from_string("ab"))
+    exists_morphism(tree, tree)  # caches the walk and the preimage masks
+    copy = deepcopy(tree)
+    assert copy == tree and set(vars(copy)) == _stored_fields(SigmaTree)
+    assert set(vars(copy.alphabet)) == {"letters"}
 
 
 @pytest.mark.parametrize("cls", list(DATACLASS_REFERENCES), ids=lambda cls: cls.__name__)

@@ -90,9 +90,6 @@ ALLOWED_PRIVATE_IMPORTS = {
     ("bench", "solver", "_identity_alphabet"),
     ("canonical", "formula", "_from_text"),
     ("cli", "solver", "_identity_alphabet"),
-    ("oracles", "homomorphism", "_check_alphabets"),
-    ("oracles", "pruning", "_induced_subtree"),
-    ("pruning", "homomorphism", "_propagate"),
     ("solver", "formula", "_first_occurrences"),
 }
 
@@ -104,6 +101,25 @@ def test_private_imports_between_modules_are_the_listed_ones():
             if isinstance(node, ast.ImportFrom) and node.level:
                 found |= {(path.stem, node.module, a.name) for a in node.names if a.name.startswith("_")}
     assert found == ALLOWED_PRIVATE_IMPORTS
+
+
+def test_every_record_class_is_frozen():
+    # Value classes have one base: a class that names its fields in
+    # ``__match_args__`` derives from Frozen, and so is immutable and
+    # hashable.
+    from importlib import import_module
+
+    from adequate._record import Frozen
+
+    other = [
+        f"{path.name}:{node.name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8"), str(path)).body
+        if isinstance(node, ast.ClassDef)
+        and any("__match_args__" in _assigned_names(stmt) for stmt in node.body)
+        and not issubclass(getattr(import_module(f"adequate.{path.stem}"), node.name), Frozen)
+    ]
+    assert other == []
 
 
 def test_no_module_imports_for_type_checking_only():
@@ -127,3 +143,12 @@ def _raised_name(exc: ast.expr | None) -> str | None:
     if isinstance(exc, ast.Attribute):
         return exc.attr
     return exc.id if isinstance(exc, ast.Name) else None
+
+
+def _assigned_names(stmt: ast.stmt) -> list[str]:
+    # The plain names that an assignment statement binds.
+    if isinstance(stmt, ast.Assign):
+        return [target.id for target in stmt.targets if isinstance(target, ast.Name)]
+    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+        return [stmt.target.id]
+    return []
