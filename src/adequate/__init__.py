@@ -33,7 +33,6 @@ from .formula import (
     DEFAULT_MODE,
     Alphabet,
     Formula,
-    Letter,
     Mode,
     Sidedness,
     Unary,
@@ -70,7 +69,6 @@ from .solver import (
     normal_form,
 )
 from .tree import (
-    Edge,
     SigmaTree,
     TraversalOrder,
     Trunk,
@@ -119,14 +117,12 @@ __all__ = [
     "BareGroup",
     "DEFAULT_MODE",
     "DanglingUnary",
-    "Edge",
     "EmptyNotAllowed",
     "Error",
     "Formula",
     "FormulaError",
     "KNOWN_IDENTITIES",
     "KNOWN_NON_IDENTITIES",
-    "Letter",
     "Mode",
     "NoTrunk",
     "NotATree",

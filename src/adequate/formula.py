@@ -94,14 +94,6 @@ class Alphabet(Frozen):
         return ranks, str.maketrans(ranks, "".join(self.letters) + RESERVED)
 
 
-class Letter(Frozen):
-    __match_args__ = ("letter",)
-    letter: str
-
-    def __init__(self, letter):
-        self.__dict__.update(letter=letter)
-
-
 class Unary(Frozen):
     __match_args__ = ("op", "body")
     op: UnaryOp
@@ -113,7 +105,7 @@ class Unary(Frozen):
         self.__dict__.update(op=op, body=body)
 
 
-Factor = Union[Letter, Unary]
+Factor = Union[str, Unary]
 
 
 class Formula(Frozen):
@@ -121,10 +113,10 @@ class Formula(Frozen):
 
     A formula holds only its whitespace-free text, and builds ``factors``
     from it on first read.  ``Formula(factors, alphabet)`` renders the
-    factors: a letter outside the alphabet raises ``UnknownSymbol``, and a
-    factor that is neither a ``Letter`` nor a ``Unary`` raises
-    ``TypeError``.  Rebuild a formula with other factors as
-    ``Formula(factors, f.alphabet)``.
+    factors: a letter factor is its one-character string, a string that is
+    not a generator raises ``UnknownSymbol``, and a factor that is neither
+    a ``str`` nor a ``Unary`` raises ``TypeError``.  Rebuild a formula with
+    other factors as ``Formula(factors, f.alphabet)``.
     """
 
     __match_args__ = ("factors", "alphabet")
@@ -315,7 +307,7 @@ def _build_factors(text: str, alphabet: Alphabet) -> tuple[Factor, ...]:
             if not depth:
                 factors.append(Unary(UnaryOp(text[i + 1]), _from_text(text[start:i], alphabet)))
         elif not depth and ch not in "+*":
-            factors.append(Letter(ch))
+            factors.append(ch)
     return tuple(factors)
 
 
@@ -325,10 +317,10 @@ def _render_factors(factors: tuple[Factor, ...], alphabet: Alphabet) -> str:
     known = alphabet._index
     out: list[str] = []
     for item in factors:
-        if type(item) is Letter:
-            if item.letter not in known:
-                alphabet.index(item.letter)  # raises UnknownSymbol
-            out.append(item.letter)
+        if type(item) is str:
+            if item not in known:
+                alphabet.index(item)  # raises UnknownSymbol
+            out.append(item)
         elif type(item) is Unary:
             body = item.body
             if body.alphabet != alphabet:
@@ -336,7 +328,7 @@ def _render_factors(factors: tuple[Factor, ...], alphabet: Alphabet) -> str:
                     alphabet.index(ch)  # raises UnknownSymbol
             out.append("(" + body._text + ")" + item.op.value)
         else:
-            raise TypeError(f"a formula factor is a Letter or a Unary, not {item!r}")
+            raise TypeError(f"a formula factor is a str or a Unary, not {item!r}")
     return "".join(out)
 
 

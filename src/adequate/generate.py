@@ -7,7 +7,7 @@ from functools import lru_cache
 from itertools import product
 from random import Random
 
-from .formula import DEFAULT_MODE, Alphabet, Formula, Letter, Unary
+from .formula import DEFAULT_MODE, Alphabet, Formula, Unary
 from .tree import SigmaTree, trivial_tree, validate
 
 
@@ -103,16 +103,16 @@ def random_formula(
                     if body:
                         budget[0] += 1  # the reserved letter was not needed
                     else:
-                        body = [Letter(rng.choice(letters))]
+                        body = [rng.choice(letters)]
                 factors.append(Unary(rng.choice(ops), Formula(tuple(body), alphabet)))
             else:
                 budget[0] -= 1
-                factors.append(Letter(rng.choice(letters)))
+                factors.append(rng.choice(letters))
         return factors
 
     factors = grow(0)
     if semigroup and not factors:
-        factors = [Letter(rng.choice(letters))]
+        factors = [rng.choice(letters)]
     return Formula(tuple(factors), alphabet)
 
 

@@ -15,10 +15,14 @@ along the edge in; a backward pass in reverse order then filters each
 parent's set by the image of each child's set.  On ~800-edge pairs a D(p)
 holds 1.9 vertices on average and 44% of them hold one, whose image is one
 preimage mask of the target (per signed label and target vertex y, every x
-with an edge so labelled from x to y).  Random trees have few distinct
-fringe subtrees, so wider sets recur: each of their images is computed once
-per call, as the union of the preimage masks of its bits, and then looked
-up.
+with an edge so labelled from x to y).  A wider mask's image is the union
+of the preimage masks of its bits, kept in a memo for the call.  Most wide
+masks do not recur: on 50 eq-large equal pairs (seed 4242, both
+directions) the forward pass took 33.5k one-bit images, 29.5k memo misses
+and 9.0k hits, the backward pass 49.4k, 14.2k and 8.4k, and 27.6k of the
+misses were two-bit masks and 10.1k three-bit.  The memo bounds the worst
+case: a star of k like-labelled leaves would otherwise walk the same k-bit
+mask at every leaf.
 """
 
 from __future__ import annotations
@@ -153,8 +157,7 @@ def extract_morphism(t1: SigmaTree, t2: SigmaTree) -> Optional[VertexMorphism]:
     order, up, label = tr.order, tr.up, tr.label
     preimages = t2._preimages
     mapping = [-1] * t1.vertex_count
-    first = masks[0]
-    mapping[t1.start] = (first & -first).bit_length() - 1
+    mapping[t1.start] = t2.start  # masks[0] starts as that one bit
     for p in range(1, t1.vertex_count):
         # Candidates that an edge labelled label[p] reaches from the parent's
         # image: the reverse label's preimage of that image.

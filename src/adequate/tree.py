@@ -21,14 +21,6 @@ from .errors import AlphabetMismatch, BadVertexId, NoTrunk, NotATree
 from .formula import Alphabet, Formula
 
 
-class Edge(NamedTuple):
-    """Names the fields of an edge; trees store plain tuples, equal to it."""
-
-    label: str
-    source: int
-    target: int
-
-
 class Trunk(NamedTuple):
     vertices: tuple[int, ...]
     labels: tuple[str, ...]

@@ -36,7 +36,6 @@ from adequate import (
     DanglingUnary,
     EmptyNotAllowed,
     Formula,
-    Letter,
     Mode,
     OpNotInSignature,
     PrunedWitness,
@@ -249,8 +248,8 @@ def evaluate_by_products(formula: Formula) -> SigmaTree:
     while True:
         descended = False
         for item in streams[-1]:
-            if type(item) is Letter:
-                acc[-1] = unpruned_product(acc[-1], base_tree(item.letter, alphabet))
+            if type(item) is str:
+                acc[-1] = unpruned_product(acc[-1], base_tree(item, alphabet))
             else:
                 acc.append(trivial_tree(alphabet))
                 ops.append(item.op)
@@ -281,12 +280,11 @@ def evaluate_by_nodes(formula: Formula) -> SigmaTree:
     items: Iterator = iter(formula.factors)
     while True:
         for item in items:
-            if type(item) is Letter:
-                label = item.letter
-                if label not in known:
-                    alphabet.index(label)  # raises UnknownSymbol
+            if type(item) is str:
+                if item not in known:
+                    alphabet.index(item)  # raises UnknownSymbol
                 v = len(glue)
-                edges.append((label, cursor, v))
+                edges.append((item, cursor, v))
                 cursor = v
                 glue.append(-1)
             else:
@@ -468,7 +466,7 @@ def parse_by_index(text: str, alphabet: Alphabet, mode=None) -> Formula:
             i += 1
             continue
         if ch in known:
-            stack[-1].append(Letter(ch))
+            stack[-1].append(ch)
             i += 1
             continue
         if ch == "(":
@@ -755,12 +753,6 @@ class DataclassAlphabet:
 
 
 @dataclass(frozen=True)
-class DataclassLetter:
-    __qualname__ = "Letter"
-    letter: str
-
-
-@dataclass(frozen=True)
 class DataclassUnary:
     __qualname__ = "Unary"
     op: UnaryOp
@@ -822,7 +814,6 @@ class DataclassSigmaTree:
 
 DATACLASS_REFERENCES = {
     Alphabet: DataclassAlphabet,
-    Letter: DataclassLetter,
     Unary: DataclassUnary,
     Formula: DataclassFormula,
     VertexMorphism: DataclassVertexMorphism,

@@ -6,22 +6,13 @@ from random import Random
 
 from hypothesis import strategies as st
 
-from adequate import Alphabet, Formula, Letter, Mode, Sidedness, Unary, UnaryOp, canonical_word
+from adequate import Alphabet, Formula, Unary, UnaryOp, canonical_word
 from adequate.generate import random_tree
-
-AB = Alphabet.from_string("ab")
-
-# Every Mode: 12 sidedness, semigroup and swap combinations.
-MODES = tuple(
-    Mode(sidedness, semigroup, swap)
-    for sidedness in Sidedness
-    for semigroup in (False, True)
-    for swap in (False, True)
-)
+from corpora import AB
 
 
 def formulas(alphabet: Alphabet = AB, max_leaves: int = 12):
-    letter = st.sampled_from(alphabet.letters).map(Letter)
+    letter = st.sampled_from(alphabet.letters)
     op = st.sampled_from((UnaryOp.PLUS, UnaryOp.STAR))
 
     def wrap(children):
@@ -42,13 +33,6 @@ def trees(alphabet: Alphabet = AB, max_edges: int = 10):
         st.integers(0, 2**48 - 1),
         st.integers(0, max_edges),
     )
-
-
-def random_texts() -> list[str]:
-    """3000 short texts over ``ab()+* c\\t``: valid formulas and every error."""
-    rng = Random(5150)
-    symbols = "ab()+* c\t"
-    return ["".join(rng.choice(symbols) for _ in range(rng.randrange(16))) for _ in range(3000)]
 
 
 def large_words(seed: int = 5151) -> list[str]:

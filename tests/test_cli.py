@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from adequate import cli, render, to_json
 from adequate.cli import main
 from adequate.generate import random_tree
+from corpora import AB
 from oracles import loglog_slope_by_moments
-from strategies import AB, formulas
+from strategies import formulas
 
 
 def run(capsys, *argv):

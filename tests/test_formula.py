@@ -15,7 +15,6 @@ from adequate import (
     EmptyNotAllowed,
     Formula,
     FormulaError,
-    Letter,
     Mode,
     OpNotInSignature,
     Sidedness,
@@ -33,8 +32,9 @@ from adequate import (
     render,
 )
 from adequate.generate import enumerate_trees, random_formula, random_tree
+from corpora import AB, MODES, random_texts
 from oracles import parse_by_index
-from strategies import AB, MODES, formulas, large_words, random_texts
+from strategies import formulas, large_words
 
 SEMIGROUP = Mode(semigroup=True)
 LEFT = Mode(Sidedness.LEFT)
@@ -43,15 +43,14 @@ RIGHT = Mode(Sidedness.RIGHT)
 
 def test_parse_letter_then_star_group(ab):
     f = parse("a(b)*", ab)
-    assert f == Formula(
-        (Letter("a"), Unary(UnaryOp.STAR, Formula((Letter("b"),), ab))), ab
-    )
+    assert f == Formula(("a", Unary(UnaryOp.STAR, Formula(("b",), ab))), ab)
+    assert f.factors == ("a", Unary(UnaryOp.STAR, parse("b", ab)))
 
 
 def test_parse_nested_groups(ab):
     f = parse("((a)+b)*", ab)
-    inner = Unary(UnaryOp.PLUS, Formula((Letter("a"),), ab))
-    assert f == Formula((Unary(UnaryOp.STAR, Formula((inner, Letter("b")), ab)),), ab)
+    inner = Unary(UnaryOp.PLUS, Formula(("a",), ab))
+    assert f == Formula((Unary(UnaryOp.STAR, Formula((inner, "b"), ab)),), ab)
 
 
 def test_parse_empty_monoid(ab):
@@ -119,7 +118,7 @@ def test_swap_sided_ops(ab):
 def test_render_examples(ab):
     assert render(parse("a(b)*", ab)) == "a(b)*"
     assert render(Formula((), ab)) == ""
-    assert render(Formula((Unary(UnaryOp.PLUS, Formula((Letter("a"),), ab)),), ab)) == "(a)+"
+    assert render(Formula((Unary(UnaryOp.PLUS, Formula(("a",), ab)),), ab)) == "(a)+"
 
 
 def test_occurrence_count(ab):
@@ -248,15 +247,15 @@ def test_parse_matches_reference_across_whitespace():
 
 def test_parse_shares_letters(ab):
     f = parse("ab(a)+", ab)
-    assert f.factors[0] == Letter("a")
+    assert f.factors[0] == "a"
 
 
 def _letters(formula):
-    """The formula's Letter nodes in text order."""
+    """The formula's letter factors in text order."""
     stack = list(reversed(formula.factors))
     while stack:
         item = stack.pop()
-        if type(item) is Letter:
+        if type(item) is str:
             yield item
         else:
             stack.extend(reversed(item.body.factors))
@@ -287,7 +286,7 @@ def test_public_formula_api_is_pinned():
         assert f.factors == twin.factors
         letters = list(_letters(f))
         assert occurrence_count(f) == occurrence_count(twin) == len(letters)
-        assert occurring_letters(f) == tuple(dict.fromkeys(x.letter for x in letters))
+        assert occurring_letters(f) == tuple(dict.fromkeys(letters))
         again = pickle.loads(pickle.dumps(f))
         assert again == f and hash(again) == hash(f) and repr(again) == repr(f)
         assert Formula(twin.factors, AB) == f
@@ -303,26 +302,32 @@ def test_formulas_differ_when_their_texts_differ():
 
 def test_formulas_compare_by_alphabet_and_text(ab):
     abc = Alphabet.from_string("abc")
-    body = Formula((Letter("a"),), abc)
+    body = Formula(("a",), abc)
     mixed = Formula((Unary(UnaryOp.PLUS, body),), ab)
     assert mixed == parse("(a)+", ab) and hash(mixed) == hash(parse("(a)+", ab))
     assert mixed != parse("(a)+", abc)
-    assert Formula([Letter("a")], ab) == parse("a", ab)
+    assert Formula(["a"], ab) == parse("a", ab)
+    assert Formula(("a", "b"), ab) == parse("ab", ab)
 
 
 def test_letters_no_text_can_hold_are_rejected(ab):
     # No text over ``ab`` holds "z" either, even in a body over an alphabet
     # that has it: the outermost alphabet decides, when the formula is built.
     abz = Alphabet.from_string("abz")
-    for bad in ("ab", "", "(", ")", "+", "*", "z"):
+    for bad in ("ab", "zz", ")+", "", "(", ")", "+", "*", "z"):
         for body_alphabet in (ab, abz):
             with pytest.raises(UnknownSymbol) as info:
-                Formula((Letter("a"), Unary(UnaryOp.STAR, Formula((Letter(bad),), body_alphabet))), ab)
+                Formula(("a", Unary(UnaryOp.STAR, Formula((bad,), body_alphabet))), ab)
             assert str(info.value) == f"UnknownSymbol: {bad!r} is not a generator"
+        with pytest.raises(UnknownSymbol) as info:
+            Formula(("a", bad), ab)
+        assert str(info.value) == f"UnknownSymbol: {bad!r} is not a generator"
+    with pytest.raises(UnknownSymbol, match="^UnknownSymbol: 'c' is not a generator$"):
+        Formula(("c",), ab)
 
 
 def test_factors_that_are_not_nodes_are_rejected(ab):
-    for factors in (("zz",), (Letter("a"), ")+"), (Letter("a"), 1)):
+    for factors in ((1,), ("a", 1), (b"a",), ("a", None), (parse("a", ab),)):
         with pytest.raises(TypeError):
             Formula(factors, ab)
 

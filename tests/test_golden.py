@@ -5,7 +5,8 @@ SHA-256 with a constant.  A change that alters a parse outcome, an answer, a
 witness, a candidate set, tree JSON, a canonical word or a CLI byte fails
 here; a change that means to alter one updates the constant and says why.
 The corpora are seeded and use no timing, so the digests do not depend on
-the Python version or the machine.
+the Python version or the machine.  Run as a script, the module checks the
+four digests without pytest.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from adequate import (
 )
 from adequate.cli import _SIDEDNESS, main
 from adequate.generate import enumerate_trees, random_formula, random_tree
-from strategies import AB, MODES, random_texts
+from corpora import AB, MODES, random_texts
 
 ABC = Alphabet.from_string("abc")
 _MODE_NAMES = {sidedness: name for name, sidedness in _SIDEDNESS.items()}
@@ -166,3 +167,22 @@ def test_prune_json_and_canonical_words_are_unchanged():
 
 def test_cli_bytes_are_unchanged():
     assert _digest(_cli_outcomes()) == CLI_DIGEST
+
+
+if __name__ == "__main__":
+    # Without pytest or hypothesis: PYTHONPATH=src:tests python tests/test_golden.py
+    # The digests are compared here, not asserted, so python -O checks them too.
+    import sys
+
+    checks = (
+        ("parse outcomes", _parse_outcomes, PARSE_DIGEST),
+        ("answers, witnesses and candidate sets", _morphism_outcomes, MORPHISM_DIGEST),
+        ("prune JSON and canonical words", _prune_outcomes, PRUNE_DIGEST),
+        ("CLI bytes", _cli_outcomes, CLI_DIGEST),
+    )
+    failed = 0
+    for name, outcomes, expected in checks:
+        same = _digest(outcomes()) == expected
+        failed += not same
+        print(f"{'ok' if same else 'CHANGED'}: {name}")
+    sys.exit(1 if failed else 0)

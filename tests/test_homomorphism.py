@@ -10,7 +10,6 @@ from hypothesis import given
 from adequate import (
     AlphabetMismatch,
     Alphabet,
-    Edge,
     SigmaTree,
     UnknownSymbol,
     base_tree,
@@ -320,7 +319,7 @@ def _over(alphabet, tree):
 
 
 def _relabelled(tree, letter):
-    edges = tuple(Edge(letter, s, t) for _, s, t in tree.edges)
+    edges = tuple((letter, s, t) for _, s, t in tree.edges)
     return SigmaTree(tree.alphabet, tree.vertex_count, tree.start, tree.end, edges)
 
 

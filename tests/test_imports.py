@@ -10,7 +10,7 @@ import sys
 import pytest
 
 import adequate
-from adequate import formula, generate, oracles, solver
+from adequate import formula, generate, oracles, solver, tree
 
 # Modules that no decision path needs: the generators, the oracles,
 # bench/selftest, the standard modules only they or the CLI's option
@@ -93,6 +93,16 @@ def test_deferred_names_resolve_to_their_modules():
     assert exists_morphism_bruteforce is oracles.exists_morphism_bruteforce
     assert random_tree is generate.random_tree
     assert not hasattr(adequate, "no_such_name")
+
+
+def test_a_letter_is_its_string_and_an_edge_its_tuple():
+    # Neither has a class of its own: a letter factor is a one-character
+    # str (test_formula.py), and a tree stores each edge as a
+    # (label, source, target) tuple (test_tree.py).
+    for module, name in ((adequate, "Letter"), (adequate, "Edge"), (formula, "Letter"), (tree, "Edge")):
+        with pytest.raises(AttributeError):
+            getattr(module, name)
+        assert name not in adequate.__all__
 
 
 def test_the_mode_names_are_the_parsers_and_resolve_everywhere():

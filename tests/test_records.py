@@ -35,18 +35,19 @@ from adequate import (
     trivial_tree,
 )
 from adequate.generate import random_tree
+from corpora import MODES
 from oracles import DATACLASS_REFERENCES, dataclass_reference
-from strategies import MODES
 
 _TEXTS = ["", "a", "b", "ab", "(a)+", "(b)+(a)+", "(a)+(b)+", "(a(b)*)+a", "((a)+b)*ab", "ab(a)*", "(a)+a"]
 
 
-def _factors(formula: Formula):
+def _unaries(formula: Formula):
+    # The Unary factors and their bodies; a letter factor is a plain str.
     for factor in formula.factors:
-        yield factor
         if type(factor) is Unary:
+            yield factor
             yield factor.body
-            yield from _factors(factor.body)
+            yield from _unaries(factor.body)
 
 
 @lru_cache(maxsize=None)
@@ -55,7 +56,7 @@ def _samples() -> dict[type, list]:
     formulas = [parse(text, ab) for text in _TEXTS] + [parse("(c)+a", abc), parse("(a)+", abc)]
     # Built from factors: equal to the parsed ones, but not the same objects.
     formulas += [Formula(f.factors, f.alphabet) for f in formulas[:6]]
-    factors = [x for f in formulas for x in _factors(f)]
+    factors = [x for f in formulas for x in _unaries(f)]
     rng = Random(1111)
     trees = [evaluate(f) for f in formulas] + [random_tree(rng, k, ab) for k in (0, 3, 12, 12)]
     trees += [trivial_tree(abc)] + [from_json(to_json(t)) for t in trees]

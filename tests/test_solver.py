@@ -14,7 +14,6 @@ from adequate import (
     FormulaError,
     KNOWN_IDENTITIES,
     KNOWN_NON_IDENTITIES,
-    Letter,
     Mode,
     OpNotInSignature,
     Sidedness,
@@ -32,13 +31,14 @@ from adequate import (
 from adequate import canonical_formula, solver
 from adequate.solver import _identity_alphabet
 from adequate.generate import random_formula
+from corpora import AB, MODES, random_texts
 from oracles import (
     check_identity_by_regrounding,
     identity_alphabet_by_loop,
     is_idempotent_by_pruning,
     oracle_equal_texts,
 )
-from strategies import AB, MODES, formulas, random_texts
+from strategies import formulas
 
 XY = Alphabet.from_string("xy")
 LEFT = Mode(Sidedness.LEFT)
@@ -392,9 +392,9 @@ def test_letter_outside_the_alphabet_raises_when_the_formula_is_built():
     # No formula holds a letter its alphabet lacks, so the solver's entry
     # points, == and hash never see one.
     with pytest.raises(UnknownSymbol) as info:
-        Formula((Letter("c"),), AB)
+        Formula(("c",), AB)
     assert str(info.value) == "UnknownSymbol: 'c' is not a generator"
-    body = Formula((Letter("c"),), Alphabet.from_string("abc"))
+    body = Formula(("c",), Alphabet.from_string("abc"))
     with pytest.raises(UnknownSymbol) as info:
-        Formula((Letter("a"), Unary(UnaryOp.PLUS, body)), AB)
+        Formula(("a", Unary(UnaryOp.PLUS, body)), AB)
     assert str(info.value) == "UnknownSymbol: 'c' is not a generator"

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
+import sys
+from importlib import import_module
 from pathlib import Path
 
 import adequate
 
 SOURCE = Path(adequate.__file__).parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "benchmark"
 
 
 def test_library_has_no_assert_statements():
@@ -107,8 +111,6 @@ def test_every_record_class_is_frozen():
     # Value classes have one base: a class that names its fields in
     # ``__match_args__`` derives from Frozen, and so is immutable and
     # hashable.
-    from importlib import import_module
-
     from adequate._record import Frozen
 
     other = [
@@ -134,6 +136,45 @@ def test_no_module_imports_for_type_checking_only():
         or (isinstance(node, ast.alias) and node.name == "TYPE_CHECKING")
     }
     assert named == set()
+
+
+def _benchmark_module(name: str):
+    # A benchmark script loaded by path, as it is, under a name of its own.
+    spec = importlib.util.spec_from_file_location(f"_benchmark_{name}", BENCHMARK / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_library_has_every_name_the_benchmark_reads(monkeypatch):
+    # The benchmark patches the bindings in TRACE_POINTS and reads a few
+    # results' fields; a library change that drops one fails only a traced
+    # benchmark run, so the names are pinned here.
+    spans, setup_child = _benchmark_module("spans"), _benchmark_module("setup_child")
+    monkeypatch.setattr(sys, "path", list(sys.path))  # load() prepends the source dir
+    lib = setup_child.load(str(SOURCE.parent))
+    assert lib.adequate is adequate
+    missing = []
+    for module_name, attr, _, _ in spans.TRACE_POINTS:
+        module = getattr(lib, module_name)
+        assert module is import_module(f"adequate.{module_name}")
+        if not callable(getattr(module, attr, None)):
+            missing.append(f"{module_name}.{attr}")
+    assert missing == []
+    ab = lib.alphabets["ab"]
+    assert ab == adequate.Alphabet.from_string("ab")
+    t = lib.tree.evaluate(lib.formula.parse("(a)+a(b)*", ab))
+    assert lib.homomorphism.extract_morphism(t, t).mapping == tuple(range(t.vertex_count))
+    assert lib.pruning.prune(t).kept == frozenset((0, 2, 3))
+    assert adequate.exists_morphism_bruteforce(t, t)
+    tracer = spans.Tracer()
+    tracer.install({name: getattr(lib, name) for name in ("formula", "solver", "canonical", "tree", "cli")})
+    try:
+        answers = [setup_child.warm_up(workload, lib) for workload in ("eq-large", "cli-small")]
+    finally:
+        tracer.uninstall()
+    assert answers == [True, True]
+    assert {"solver.equal", "cli.main", "homomorphism.exists_morphism"} <= {span[0] for span in tracer.spans}
 
 
 def _raised_name(exc: ast.expr | None) -> str | None:
